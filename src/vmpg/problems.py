@@ -18,21 +18,26 @@ from .core import SmoothObjective
 
 
 def power_iteration(matvec, dim, max_iter=5000, tol=1e-12):
-    """Largest eigenvalue of a symmetric PSD operator by power iteration."""
+    """Largest eigenvalue of a symmetric PSD operator by power iteration.
+
+    The operator is applied once per iteration: the image of the normalized
+    iterate gives both the Rayleigh quotient and the next iteration's vector.
+    """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     lam = 0.0
+    w = matvec(v)
     for _ in range(max_iter):
-        w = matvec(v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
-        v_next = w / norm
-        lam_next = float(np.dot(v_next, matvec(v_next)))
+        v = w / norm
+        w = matvec(v)
+        lam_next = float(np.dot(v, w))
         if abs(lam_next - lam) <= tol * max(1.0, abs(lam_next)):
             return lam_next
-        v, lam = v_next, lam_next
+        lam = lam_next
     return lam
 
 
@@ -68,28 +73,53 @@ class QuadraticObjective(SmoothObjective):
         return self.value(self.minimizer)
 
 
-class LeastSquaresObjective(SmoothObjective):
-    """f(x) = scale * ||Ax - b||^2 + ridge * ||x||^2, scale = 1/N by default."""
+class _AffineLoss(SmoothObjective):
+    """scale * loss(A x; b) + ridge * ||x||^2 over a fixed design matrix A.
+
+    ``_image(x)`` keeps the affine image of the last point (the residual for
+    least squares, the margins for logistic), so ``value`` and ``gradient``
+    at the same point share one product A @ x, in either order.  The memo is
+    keyed by the dtype, shape and bytes of x, never by its identity: a point
+    changed in place is recomputed.  A and b must not change in place after
+    construction.
+    """
 
     def __init__(self, A, b, scale=None, ridge=0.0):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.scale = 1.0 / self.A.shape[0] if scale is None else float(scale)
         self.ridge = float(ridge)
-        self._smoothness = None
         if ridge > 0:
             self.strong_convexity = 2.0 * ridge
+        self._image_key = None
+        self._image_value = None
 
     @property
     def dim(self):
         return self.A.shape[1]
 
+    def _image(self, x):
+        key = (x.dtype, x.shape, x.tobytes())
+        if key != self._image_key:
+            self._image_value = self._affine_image(x)
+            self._image_key = key
+        return self._image_value
+
+
+class LeastSquaresObjective(_AffineLoss):
+    """f(x) = scale * ||Ax - b||^2 + ridge * ||x||^2, scale = 1/N by default."""
+
+    _smoothness = None
+
+    def _affine_image(self, x):
+        return self.A @ x - self.b
+
     def value(self, x):
-        r = self.A @ x - self.b
+        r = self._image(x)
         return self.scale * float(r @ r) + self.ridge * float(x @ x)
 
     def gradient(self, x):
-        return 2.0 * self.scale * (self.A.T @ (self.A @ x - self.b)) + (
+        return 2.0 * self.scale * (self.A.T @ self._image(x)) + (
             2.0 * self.ridge
         ) * x
 
@@ -104,7 +134,7 @@ class LeastSquaresObjective(SmoothObjective):
         return self._smoothness
 
 
-class LogisticObjective(SmoothObjective):
+class LogisticObjective(_AffineLoss):
     """f(x) = scale * sum_i log(1 + exp(-b_i a_i'x)) + ridge * ||x||^2.
 
     Labels must be in {-1, +1}.  All exponentials go through logaddexp /
@@ -112,27 +142,21 @@ class LogisticObjective(SmoothObjective):
     """
 
     def __init__(self, A, b, scale=None, ridge=0.0):
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
+        super().__init__(A, b, scale=scale, ridge=ridge)
         if not np.all(np.isin(self.b, (-1.0, 1.0))):
             raise ValueError("logistic labels must be -1 or +1")
-        self.scale = 1.0 / self.A.shape[0] if scale is None else float(scale)
-        self.ridge = float(ridge)
-        if ridge > 0:
-            self.strong_convexity = 2.0 * ridge
 
-    @property
-    def dim(self):
-        return self.A.shape[1]
+    def _affine_image(self, x):
+        return self.b * (self.A @ x)
 
     def value(self, x):
-        t = self.b * (self.A @ x)
+        t = self._image(x)
         return self.scale * float(np.sum(np.logaddexp(0.0, -t))) + self.ridge * float(
             x @ x
         )
 
     def gradient(self, x):
-        t = self.b * (self.A @ x)
+        t = self._image(x)
         w = -self.b * expit(-t)
         return self.scale * (self.A.T @ w) + (2.0 * self.ridge) * x
 

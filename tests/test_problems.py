@@ -1,8 +1,13 @@
 """Problem generators, objective classes, and dataset loading."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from vmpg.consensus import ConsensusProblem, solve_consensus, split_regression
+from vmpg.core import SmoothObjective
 from vmpg.problems import (
     LeastSquaresObjective,
     LogisticObjective,
@@ -16,6 +21,8 @@ from vmpg.problems import (
     precondition,
     smooth_part,
 )
+from vmpg.prox import Lasso
+from vmpg.solver import SolverConfig, solve
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -255,3 +262,263 @@ class TestLoadCsv:
         f = smooth_part(prob)
         assert f.dim == 3
         assert np.isfinite(f.value(np.zeros(3)))
+
+
+class ReferenceLeastSquares(SmoothObjective):
+    """Memo-free least squares: A @ x is recomputed by every call."""
+
+    def __init__(self, A, b, scale=None, ridge=0.0):
+        self.A = np.asarray(A, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.scale = 1.0 / self.A.shape[0] if scale is None else float(scale)
+        self.ridge = float(ridge)
+
+    @property
+    def dim(self):
+        return self.A.shape[1]
+
+    def value(self, x):
+        r = self.A @ x - self.b
+        return self.scale * float(r @ r) + self.ridge * float(x @ x)
+
+    def gradient(self, x):
+        return 2.0 * self.scale * (self.A.T @ (self.A @ x - self.b)) + (
+            2.0 * self.ridge
+        ) * x
+
+
+class ReferenceLogistic(ReferenceLeastSquares):
+    """Memo-free logistic loss: A @ x is recomputed by every call."""
+
+    def value(self, x):
+        t = self.b * (self.A @ x)
+        return self.scale * float(np.sum(np.logaddexp(0.0, -t))) + self.ridge * float(
+            x @ x
+        )
+
+    def gradient(self, x):
+        t = self.b * (self.A @ x)
+        w = -self.b * expit(-t)
+        return self.scale * (self.A.T @ w) + (2.0 * self.ridge) * x
+
+
+OBJECTIVES = {
+    "ls": (LeastSquaresObjective, ReferenceLeastSquares),
+    "logistic": (LogisticObjective, ReferenceLogistic),
+}
+
+
+def objective_pair(loss, n_samples=60, dim=9, seed=21, ridge=0.05):
+    """A memoized objective and its memo-free reference on the same data."""
+    prob = generate_regression(n_samples=n_samples, dim=dim, loss=loss, seed=seed)
+    memoized, reference = OBJECTIVES[loss]
+    return (
+        memoized(prob.A, prob.b, ridge=ridge),
+        reference(prob.A, prob.b, ridge=ridge),
+    )
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes (NaN payloads and signed zeros included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("loss", ["ls", "logistic"])
+class TestSharedAffineImage:
+    """value and gradient share A @ x yet match the memo-free formulas bit for bit."""
+
+    def check(self, f, ref, x, order):
+        for kind in order:
+            assert same_bits(getattr(f, kind)(x), getattr(ref, kind)(x)), kind
+
+    def test_value_then_gradient_and_gradient_then_value(self, loss):
+        f, ref = objective_pair(loss)
+        rng = np.random.default_rng(22)
+        self.check(f, ref, rng.standard_normal(f.dim), ("value", "gradient"))
+        self.check(f, ref, rng.standard_normal(f.dim), ("gradient", "value"))
+        self.check(f, ref, rng.standard_normal(f.dim), ("gradient", "gradient", "value"))
+
+    def test_alternating_points(self, loss):
+        f, ref = objective_pair(loss)
+        rng = np.random.default_rng(23)
+        x1, x2 = rng.standard_normal(f.dim), rng.standard_normal(f.dim)
+        for x in (x1, x2, x1, x2, x2, x1):
+            self.check(f, ref, x, ("value", "gradient"))
+        for x in (x1, x2, x1):
+            self.check(f, ref, x, ("gradient", "value"))
+
+    def test_point_changed_in_place(self, loss):
+        f, ref = objective_pair(loss)
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal(f.dim)
+        f.value(x)
+        x[...] = rng.standard_normal(f.dim)
+        self.check(f, ref, x, ("gradient", "value"))
+        x[3] += 1.0
+        self.check(f, ref, x, ("value", "gradient"))
+        x[...] = -0.0
+        f.gradient(x)
+        x[...] = 0.0  # equal to -0.0 by value, not by bits
+        self.check(f, ref, x, ("value", "gradient"))
+
+    def test_views_of_a_stacked_vector(self, loss):
+        f, ref = objective_pair(loss)
+        rng = np.random.default_rng(25)
+        xb = rng.standard_normal(3 * f.dim).reshape(3, f.dim)
+        for j in (0, 1, 2, 1):
+            self.check(f, ref, xb[j], ("value", "gradient"))
+        strided = np.asfortranarray(xb)  # each row is a view with stride 3
+        for j in (2, 0):
+            self.check(f, ref, strided[j], ("gradient", "value"))
+
+    def test_point_with_nan(self, loss):
+        f, ref = objective_pair(loss)
+        x = np.random.default_rng(26).standard_normal(f.dim)
+        x[4] = np.nan
+        with np.errstate(invalid="ignore"):
+            self.check(f, ref, x, ("value", "gradient", "value"))
+            assert np.isnan(f.value(x))
+
+    @pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb", "fista"])
+    def test_solve_traces_match_the_reference(self, loss, method):
+        f, ref = objective_pair(loss, n_samples=80, dim=12, seed=27)
+        config = SolverConfig(method=method, eps_tol=1e-8, max_iter=300)
+        if method == "fista" and loss == "ls":
+            ref.smoothness = f.smoothness
+        got = solve(f, Lasso(0.01), np.zeros(f.dim), config)
+        want = solve(ref, Lasso(0.01), np.zeros(f.dim), config)
+        assert got.iterations == want.iterations > 5
+        assert got.status == want.status
+        assert same_bits(got.x, want.x)
+        assert same_bits(got.final_objective, want.final_objective)
+        for a, b in zip(got.trace, want.trace):
+            a, b = dataclasses.asdict(a), dataclasses.asdict(b)
+            del a["wall_ms"], b["wall_ms"]
+            assert a == b
+
+    def test_consensus_trace_matches_the_reference(self, loss):
+        prob = generate_regression(n_samples=90, dim=6, loss=loss, seed=28)
+        shards = split_regression(prob, n_nodes=3, ridge=0.01)
+        reference = ConsensusProblem(
+            objectives=[
+                OBJECTIVES[loss][1](f.A, f.b, scale=f.scale, ridge=f.ridge)
+                for f in shards.objectives
+            ],
+            dim=shards.dim,
+        )
+        config = SolverConfig(eps_tol=1e-8, max_iter=100)
+        got = solve_consensus(shards, np.zeros(6), "local-dbb", config)
+        want = solve_consensus(reference, np.zeros(6), "local-dbb", config)
+        assert got.iterations == want.iterations > 5
+        assert same_bits(got.z, want.z)
+        for a, b in zip(got.trace, want.trace):
+            a, b = dataclasses.asdict(a), dataclasses.asdict(b)
+            del a["wall_ms"], b["wall_ms"]
+            assert a == b
+
+
+class CountingMatrix(np.ndarray):
+    """A view of a matrix that counts its products M @ v; M.T shares the count."""
+
+    def __array_finalize__(self, obj):
+        self.count = getattr(obj, "count", None)
+
+    def __matmul__(self, other):
+        self.count[0] += 1
+        return np.asarray(self) @ other
+
+
+def count_products(f):
+    """Swap f.A for a counting view; returns the one-element count list."""
+    f.A = f.A.view(CountingMatrix)
+    f.A.count = [0]
+    return f.A.count
+
+
+def two_application_power_iteration(matvec, dim, max_iter=5000, tol=1e-12):
+    """The two-application loop power_iteration replaced; returns (lam, iterations)."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for it in range(1, max_iter + 1):
+        w = matvec(v)
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            return 0.0, it
+        v_next = w / norm
+        lam_next = float(np.dot(v_next, matvec(v_next)))
+        if abs(lam_next - lam) <= tol * max(1.0, abs(lam_next)):
+            return lam_next, it
+        v, lam = v_next, lam_next
+    return lam, max_iter
+
+
+class TestOperatorApplications:
+    @pytest.mark.parametrize("line_search", ["nonmonotone", "monotone"])
+    @pytest.mark.parametrize("loss", ["ls", "logistic"])
+    @pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb"])
+    def test_variable_metric_methods_use_two_products_per_iteration(
+        self, loss, method, line_search
+    ):
+        f, _ = objective_pair(loss, n_samples=80, dim=12, seed=29)
+        count = count_products(f)
+        points = []  # (kind, bits) of every value/gradient call, in order
+        for kind in ("value", "gradient"):
+            def logged(x, _kind=kind, _call=getattr(f, kind)):
+                points.append((_kind, x.tobytes()))
+                return _call(x)
+            setattr(f, kind, logged)
+        config = SolverConfig(
+            method=method, eps_tol=1e-8, max_iter=300, line_search=line_search
+        )
+        result = solve(f, Lasso(0.01), np.zeros(f.dim), config)
+        if line_search == "monotone":
+            assert sum(r.backtracks for r in result.trace) > 0
+        # grad(x0) = 2 and F(x0) = 1, then per accepted iteration one
+        # product per candidate and one for the gradient at the accepted
+        # point.  A value at the point evaluated just before it costs
+        # nothing: F(x0) always, and near the optimum a candidate that
+        # repeats the previous point bit for bit.
+        repeats = sum(
+            kind == "value" and bits == prev
+            for (kind, bits), (_, prev) in zip(points[1:], points[:-1])
+        )
+        assert result.iterations > 5
+        assert 1 <= repeats <= 3
+        assert count[0] == 3 + sum(2 + r.backtracks for r in result.trace) - repeats
+
+    @pytest.mark.parametrize("loss", ["ls", "logistic"])
+    def test_fista_uses_at_most_three_products_per_iteration(self, loss):
+        f, _ = objective_pair(loss, n_samples=80, dim=12, seed=30)
+        f.smoothness  # power iteration runs before the count starts
+        count = count_products(f)
+        result = solve(
+            f, Lasso(0.01), np.zeros(f.dim),
+            SolverConfig(method="fista", eps_tol=1e-8, max_iter=300),
+        )
+        assert result.iterations > 5
+        assert count[0] <= sum(3 + r.backtracks for r in result.trace)
+
+    def test_power_iteration_applies_the_operator_once_per_iteration(self):
+        for seed in (31, 32):
+            A = generate_regression(n_samples=120, dim=20, loss="ls", seed=seed).A
+            M = A.T @ A
+            calls = [0]
+
+            def matvec(v):
+                calls[0] += 1
+                return M @ v
+
+            lam, iterations = two_application_power_iteration(lambda v: M @ v, 20)
+            assert same_bits(power_iteration(matvec, 20), lam)
+            assert calls[0] == iterations + 1
+
+    def test_least_squares_smoothness_products(self):
+        prob = generate_regression(n_samples=120, dim=20, loss="ls", seed=33)
+        f = LeastSquaresObjective(prob.A, prob.b, ridge=0.1)
+        lam, iterations = two_application_power_iteration(lambda v: prob.A.T @ (prob.A @ v), 20)
+        count = count_products(f)
+        assert same_bits(f.smoothness, 2.0 * f.scale * lam + 0.2)
+        assert count[0] == 2 * (iterations + 1)
