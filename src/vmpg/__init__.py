@@ -71,7 +71,6 @@ from .consensus import (
     ConsensusResult,
     ConsensusTraceRecord,
     consensus_round,
-    local_metric,
     solve_consensus,
     split_regression,
 )

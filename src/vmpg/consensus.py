@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockDiagonalMetric, DiagonalMetric, SmoothObjective, as_vector
+from .core import DiagonalMetric, SmoothObjective, as_vector
 from .prox import Consensus
 from .solver import (
     CONVERGED,
@@ -28,6 +28,8 @@ from .solver import (
     LineSearchError,
     SolverConfig,
     TraceRecord,
+    _reference_value,
+    _stopped,
     line_search,
     warmup_step,
 )
@@ -140,85 +142,109 @@ def split_regression(problem, n_nodes, ridge):
     return ConsensusProblem(objectives=objectives, dim=problem.A.shape[1])
 
 
-def local_metric(pair, mode, bb_config, state):
-    """Metric for one node from its own step pair (local modes)."""
-    if mode == "local-bb":
-        alpha = hybrid_bb(pair, bb_config, state)
-        state.prev_alpha = alpha
-        return DiagonalMetric.uniform(pair.s.shape[0], 1.0 / alpha)
-    if mode == "local-dbb":
-        return diagonal_bb(pair, bb_config, state)
-    raise ValueError(f"local_metric does not handle mode {mode!r}")
+def _row_dot(a, b):
+    """Inner products of matching rows; bitwise equal to np.dot row by row.
+
+    A (1, n) @ (n, 1) matmul reduces each row as np.dot does; einsum and
+    (a * b).sum(1) sum in other orders and differ in the last bits.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _round_metric(mode, pairs, bb_config, node_states):
-    """Assemble the per-node metrics for one round as a block metric."""
-    m = len(pairs)
-    dim = pairs[0].s.shape[0]
+def _node_bb(S, Y):
+    """Per-row (alpha_bb1, alpha_bb2, degenerate) as bb1/bb2 give them.
+
+    A row is degenerate where bb1 or bb2 returns None; its two values are
+    then meaningless and must not be used.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sy = _row_dot(S, Y)
+        yy = _row_dot(Y, Y)
+        return _row_dot(S, S) / sy, sy / yy, (sy <= 0.0) | (yy == 0.0)
+
+
+def node_hybrid_bb(S, Y, config, prev_alpha):
+    """hybrid_bb applied to each row pair (S[j], Y[j]); returns an (m,) array.
+
+    prev_alpha is the fallback per row, a scalar or an (m,) array.
+    """
+    a1, a2, degenerate = _node_bb(S, Y)
+    alpha = np.where(a1 < config.delta * a2, a2, a1 - a2 / config.delta)
+    alpha = np.where(degenerate | (alpha <= 0.0), prev_alpha, alpha)
+    return np.minimum(np.maximum(alpha, config.alpha_min), config.alpha_max)
+
+
+def node_diagonal_bb(S, Y, config, u_prev):
+    """diagonal_bb applied to each row pair; returns the (m, n) metric diagonal.
+
+    u_prev is the previous metric diagonal in the same (m, n) layout.
+    """
+    a1, a2, degenerate = _node_bb(S, Y)
+    a1 = np.minimum(np.maximum(a1, config.alpha_min), config.alpha_max)
+    a2 = np.minimum(np.maximum(a2, config.alpha_min), config.alpha_max)
+    lo = np.where(degenerate, 1.0 / config.alpha_max, 1.0 / a1)
+    hi = np.where(degenerate, 1.0 / config.alpha_min, 1.0 / a2)
+    swap = lo > hi  # float noise can invert the ordering of eq-close values
+    lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    candidates = (S * Y + config.mu * u_prev) / (S**2 + config.mu)
+    return np.clip(candidates, lo[:, None], hi[:, None])
+
+
+def consensus_metric(pair, mode, bb_config, state, n_nodes):
+    """Metric of one round over the stacked vector; returns (metric, prev_alpha).
+
+    Local modes apply the BB rules to each node's block of the stacked step
+    pair, all nodes at once; global modes apply them to the whole pair.
+    state carries the stacked metric accepted last round and the last
+    scalar stepsize, or one per node in local-bb.
+    """
     if mode in ("local-bb", "local-dbb"):
-        return BlockDiagonalMetric(
-            [local_metric(pairs[j], mode, bb_config, node_states[j]) for j in range(m)]
-        )
-    stacked = StepPair(
-        np.concatenate([p.s for p in pairs]), np.concatenate([p.y for p in pairs])
-    )
+        S = pair.s.reshape(n_nodes, -1)
+        Y = pair.y.reshape(n_nodes, -1)
+        if mode == "local-bb":
+            alpha = node_hybrid_bb(S, Y, bb_config, state.prev_alpha)
+            return DiagonalMetric(np.repeat(1.0 / alpha, S.shape[1])), alpha
+        u_prev = state.prev_metric.diag.reshape(S.shape)
+        diag = node_diagonal_bb(S, Y, bb_config, u_prev)
+        return DiagonalMetric(diag.reshape(-1)), state.prev_alpha
     if mode == "global-bb":
-        shared = StepsizeState(
-            prev_alpha=node_states[0].prev_alpha,
-            prev_metric=DiagonalMetric.identity(1),
-        )
-        alpha = hybrid_bb(stacked, bb_config, shared)
-        for st in node_states:
-            st.prev_alpha = alpha
-        return BlockDiagonalMetric(
-            [DiagonalMetric.uniform(dim, 1.0 / alpha) for _ in range(m)]
-        )
+        alpha = hybrid_bb(pair, bb_config, state)
+        return DiagonalMetric.uniform(pair.s.shape[0], 1.0 / alpha), alpha
     if mode == "global-dbb":
-        shared = StepsizeState(
-            prev_alpha=node_states[0].prev_alpha,
-            prev_metric=DiagonalMetric(
-                np.concatenate([st.prev_metric.diag for st in node_states])
-            ),
-        )
-        full = diagonal_bb(stacked, bb_config, shared)
-        return BlockDiagonalMetric(
-            [DiagonalMetric(full.diag[j * dim:(j + 1) * dim]) for j in range(m)]
-        )
+        return diagonal_bb(pair, bb_config, state), state.prev_alpha
     raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
 
 
-def consensus_round(problem, state, node_states, mode="local-dbb", config=None):
+def consensus_round(problem, state, mode="local-dbb", config=None):
     """Advance one synchronous round; returns (state, ConsensusTraceRecord).
 
     Each node takes a forward step under its metric, the scaled consensus
     prox aggregates the metric-weighted average z, and z is broadcast back,
     so after the round every node copy in state.x equals z.  The nonmonotone
     acceptance test runs on the summed objective and rescales all blocks on
-    rejection.  Raises LineSearchError after max_backtracks.
+    rejection.  Node memory lives in state.stepsize_state: prev_metric is
+    the stacked metric accepted last round and prev_alpha the last scalar
+    stepsize (one per node in local-bb).  A round builds one metric plus one
+    per backtrack.  Raises LineSearchError after max_backtracks.
     """
     if mode not in MODES:
         raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
     config = config or SolverConfig()
     f = problem.stacked()
     g = Consensus(problem.n_nodes)
-    m, n = problem.n_nodes, problem.dim
     t0 = time.perf_counter()
-    xb = state.x.reshape(m, n)
-    xpb = state.x_prev.reshape(m, n)
-    gb = state.grad.reshape(m, n)
-    gpb = state.grad_prev.reshape(m, n)
-    pairs = [StepPair(xb[j] - xpb[j], gb[j] - gpb[j]) for j in range(m)]
-    metric = _round_metric(mode, pairs, config.bb_config(), node_states)
-    window = min(config.m_ls, state.iteration - 1) + 1
-    if config.line_search == "off":
-        f_ref = None
-    elif config.line_search == "monotone":
-        f_ref = state.f_x
-    else:
-        f_ref = max(state.f_history[-window:])
-    x_new, y_new, metric, backtracks, f_new = line_search(
-        f, g, state.x, state.grad, metric, f_ref, config
+    pair = StepPair(state.x - state.x_prev, state.grad - state.grad_prev)
+    metric, alpha = consensus_metric(
+        pair, mode, config.bb_config(), state.stepsize_state, problem.n_nodes
     )
+    f_ref = _reference_value(state, config)
+    try:
+        x_new, y_new, metric, backtracks, f_new = line_search(
+            f, g, state.x, state.grad, metric, f_ref, config
+        )
+    except LineSearchError as err:
+        err.iteration = state.iteration
+        raise
     diff = x_new - state.x
     mapping = metric.apply(-diff)
     rec = ConsensusTraceRecord(
@@ -235,8 +261,6 @@ def consensus_round(problem, state, node_states, mode="local-dbb", config=None):
     history = state.f_history + [f_new]
     if len(history) > config.m_ls + 1:
         history = history[-(config.m_ls + 1):]
-    for j in range(m):
-        node_states[j].prev_metric = DiagonalMetric(metric.diag[j * n:(j + 1) * n])
     state.x_prev = state.x
     state.x = x_new
     state.grad_prev = state.grad
@@ -244,6 +268,7 @@ def consensus_round(problem, state, node_states, mode="local-dbb", config=None):
     state.metric = metric
     state.f_history = history
     state.iteration += 1
+    state.stepsize_state = StepsizeState(prev_alpha=alpha, prev_metric=metric)
     state.forward = y_new
     state.f_x = f_new
     return state, rec
@@ -252,8 +277,8 @@ def consensus_round(problem, state, node_states, mode="local-dbb", config=None):
 def solve_consensus(problem, x0, mode="local-dbb", config=None):
     """Run consensus rounds from a shared starting point x0.
 
-    Every node starts at x0; rounds proceed until the stacked forward
-    iterates stop moving (||y^{k+1} - y^k|| <= eps_tol) or max_iter.
+    Every node starts at x0; rounds proceed until config.stop_rule holds on
+    the stacked iterates, as in solve, or max_iter.
     Returns the consensus point z with a per-round trace that includes the
     bytes-exchanged cost metric.
     """
@@ -287,19 +312,18 @@ def solve_consensus(problem, x0, mode="local-dbb", config=None):
     rec = consensus_record(rec)
     rec.wall_ms = (time.perf_counter() - t0) * 1e3
     trace = [rec]
-    node_states = [StepsizeState.initial(n) for _ in range(m)]
     status = MAX_ITER
 
     while len(trace) < config.max_iter:
         prev_forward = state.forward
         try:
-            state, rec = consensus_round(problem, state, node_states, mode, config)
+            state, rec = consensus_round(problem, state, mode, config)
         except LineSearchError:
             status = LINE_SEARCH_FAILURE
             break
         rec.wall_ms = (time.perf_counter() - t0) * 1e3
         trace.append(rec)
-        if float(np.linalg.norm(state.forward - prev_forward)) <= config.eps_tol:
+        if _stopped(state, prev_forward, config):
             status = CONVERGED
             break
 

@@ -1,21 +1,35 @@
 """Synchronous consensus splitting: sharding, per-node metrics, rounds."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from vmpg.consensus import (
     MODES,
     ConsensusProblem,
+    ConsensusTraceRecord,
+    consensus_metric,
     consensus_round,
-    local_metric,
+    node_diagonal_bb,
+    node_hybrid_bb,
     solve_consensus,
     split_regression,
 )
-from vmpg.core import DiagonalMetric
+from vmpg.core import BlockDiagonalMetric, DiagonalMetric
 from vmpg.prox import Consensus
 from vmpg.problems import QuadraticObjective, generate_regression
-from vmpg.solver import CONVERGED, SolverConfig, warmup_step
-from vmpg.stepsize import StepPair, StepsizeState
+from vmpg.solver import (
+    CONVERGED,
+    LINE_SEARCH_FAILURE,
+    MAX_ITER,
+    LineSearchError,
+    SolverConfig,
+    line_search,
+    warmup_step,
+)
+from vmpg.stepsize import StepPair, StepsizeState, bb1, bb2, diagonal_bb, hybrid_bb
 
 
 def scalar_curvature_problem(curvatures, dim=3):
@@ -28,13 +42,160 @@ def scalar_curvature_problem(curvatures, dim=3):
 
 
 def start_round_state(problem, config):
-    """Warm-up on the stacked problem plus fresh per-node stepsize states."""
+    """Warm-up on the stacked problem, every node starting at ones."""
     f = problem.stacked()
     g = Consensus(problem.n_nodes)
     x0 = np.tile(np.ones(problem.dim), problem.n_nodes)
     state, _ = warmup_step(f, g, x0, config)
-    node_states = [StepsizeState.initial(problem.dim) for _ in range(problem.n_nodes)]
-    return state, node_states
+    return state
+
+
+def node_metric_block(state, j, dim):
+    """Node j's block of the metric accepted in the last round."""
+    return state.stepsize_state.prev_metric.diag[j * dim:(j + 1) * dim]
+
+
+# --- reference: the per-node round, one metric and one BB call per node -----
+
+
+def reference_local_metric(pair, mode, bb_config, state):
+    if mode == "local-bb":
+        alpha = hybrid_bb(pair, bb_config, state)
+        state.prev_alpha = alpha
+        return DiagonalMetric.uniform(pair.s.shape[0], 1.0 / alpha)
+    return diagonal_bb(pair, bb_config, state)
+
+
+def reference_round_metric(mode, pairs, bb_config, node_states):
+    m = len(pairs)
+    dim = pairs[0].s.shape[0]
+    if mode in ("local-bb", "local-dbb"):
+        return BlockDiagonalMetric(
+            [reference_local_metric(pairs[j], mode, bb_config, node_states[j])
+             for j in range(m)]
+        )
+    stacked = StepPair(
+        np.concatenate([p.s for p in pairs]), np.concatenate([p.y for p in pairs])
+    )
+    if mode == "global-bb":
+        shared = StepsizeState(
+            prev_alpha=node_states[0].prev_alpha,
+            prev_metric=DiagonalMetric.identity(1),
+        )
+        alpha = hybrid_bb(stacked, bb_config, shared)
+        for st in node_states:
+            st.prev_alpha = alpha
+        return BlockDiagonalMetric(
+            [DiagonalMetric.uniform(dim, 1.0 / alpha) for _ in range(m)]
+        )
+    shared = StepsizeState(
+        prev_alpha=node_states[0].prev_alpha,
+        prev_metric=DiagonalMetric(
+            np.concatenate([st.prev_metric.diag for st in node_states])
+        ),
+    )
+    full = diagonal_bb(stacked, bb_config, shared)
+    return BlockDiagonalMetric(
+        [DiagonalMetric(full.diag[j * dim:(j + 1) * dim]) for j in range(m)]
+    )
+
+
+def reference_round(problem, state, node_states, mode, config):
+    f = problem.stacked()
+    g = Consensus(problem.n_nodes)
+    m, n = problem.n_nodes, problem.dim
+    xb = state.x.reshape(m, n)
+    xpb = state.x_prev.reshape(m, n)
+    gb = state.grad.reshape(m, n)
+    gpb = state.grad_prev.reshape(m, n)
+    pairs = [StepPair(xb[j] - xpb[j], gb[j] - gpb[j]) for j in range(m)]
+    metric = reference_round_metric(mode, pairs, config.bb_config(), node_states)
+    window = min(config.m_ls, state.iteration - 1) + 1
+    if config.line_search == "off":
+        f_ref = None
+    elif config.line_search == "monotone":
+        f_ref = state.f_x
+    else:
+        f_ref = max(state.f_history[-window:])
+    x_new, y_new, metric, backtracks, f_new = line_search(
+        f, g, state.x, state.grad, metric, f_ref, config
+    )
+    diff = x_new - state.x
+    mapping = metric.apply(-diff)
+    rec = ConsensusTraceRecord(
+        iter=state.iteration,
+        objective=f_new,
+        grad_map_norm=float(np.sqrt(np.dot(mapping**2, 1.0 / metric.diag))),
+        step_norm_u=metric.norm(diff),
+        backtracks=backtracks,
+        u_min=metric.u_min,
+        u_max=metric.u_max,
+        wall_ms=0.0,
+        bytes_exchanged=problem.bytes_per_round(),
+    )
+    history = state.f_history + [f_new]
+    if len(history) > config.m_ls + 1:
+        history = history[-(config.m_ls + 1):]
+    for j in range(m):
+        node_states[j].prev_metric = DiagonalMetric(metric.diag[j * n:(j + 1) * n])
+    state.x_prev = state.x
+    state.x = x_new
+    state.grad_prev = state.grad
+    state.grad = f.gradient(x_new)
+    state.metric = metric
+    state.f_history = history
+    state.iteration += 1
+    state.forward = y_new
+    state.f_x = f_new
+    return state, rec
+
+
+def reference_solve(problem, x0, mode, config):
+    """(z, status, trace) of the per-node loop with the forward-step stop."""
+    f = problem.stacked()
+    g = Consensus(problem.n_nodes)
+    m, n = problem.n_nodes, problem.dim
+    state, rec = warmup_step(f, g, np.tile(x0, m), config)
+    trace = [ConsensusTraceRecord(
+        **{k: getattr(rec, k) for k in rec.__dataclass_fields__},
+        bytes_exchanged=problem.bytes_per_round(),
+    )]
+    node_states = [StepsizeState.initial(n) for _ in range(m)]
+    status = MAX_ITER
+    while len(trace) < config.max_iter:
+        prev_forward = state.forward
+        try:
+            state, rec = reference_round(problem, state, node_states, mode, config)
+        except LineSearchError:
+            status = LINE_SEARCH_FAILURE
+            break
+        trace.append(rec)
+        if float(np.linalg.norm(state.forward - prev_forward)) <= config.eps_tol:
+            status = CONVERGED
+            break
+    return state.x[:n].copy(), status, trace
+
+
+def record_bits(rec):
+    """Every trace field but wall_ms, as bytes."""
+    return [
+        np.float64(getattr(rec, k)).tobytes()
+        for k in ("iter", "objective", "grad_map_norm", "step_norm_u",
+                  "backtracks", "u_min", "u_max", "bytes_exchanged")
+    ]
+
+
+def count_metric_builds(monkeypatch):
+    """Patch DiagonalMetric.__init__ to count calls; returns the counter list."""
+    calls = []
+    init = DiagonalMetric.__init__
+
+    def counting(self, diag):
+        calls.append(1)
+        init(self, diag)
+
+    monkeypatch.setattr(DiagonalMetric, "__init__", counting)
+    return calls
 
 
 class TestSplitRegression:
@@ -87,10 +248,10 @@ class TestRoundMechanics:
         """Exact quadratics give each node its own curvature as metric."""
         problem = scalar_curvature_problem([2.0, 8.0], dim=3)
         cfg = SolverConfig(line_search="off")
-        state, node_states = start_round_state(problem, cfg)
-        state, _ = consensus_round(problem, state, node_states, "local-dbb", cfg)
-        np.testing.assert_allclose(node_states[0].prev_metric.diag, 2.0 * np.ones(3))
-        np.testing.assert_allclose(node_states[1].prev_metric.diag, 8.0 * np.ones(3))
+        state = start_round_state(problem, cfg)
+        state, _ = consensus_round(problem, state, "local-dbb", cfg)
+        np.testing.assert_allclose(node_metric_block(state, 0, 3), 2.0 * np.ones(3))
+        np.testing.assert_allclose(node_metric_block(state, 1, 3), 8.0 * np.ones(3))
         np.testing.assert_allclose(
             state.metric.diag, np.concatenate([2.0 * np.ones(3), 8.0 * np.ones(3)])
         )
@@ -99,9 +260,9 @@ class TestRoundMechanics:
         prob = generate_regression(n_samples=40, dim=4, loss="ls", seed=6)
         problem = split_regression(prob, n_nodes=3, ridge=1e-2)
         cfg = SolverConfig()
-        state, node_states = start_round_state(problem, cfg)
+        state = start_round_state(problem, cfg)
         for _ in range(3):
-            state, _ = consensus_round(problem, state, node_states, "local-dbb", cfg)
+            state, _ = consensus_round(problem, state, "local-dbb", cfg)
             blocks = state.x.reshape(3, 4)
             for j in range(1, 3):
                 np.testing.assert_array_equal(blocks[j], blocks[0])
@@ -111,9 +272,9 @@ class TestRoundMechanics:
         prob = generate_regression(n_samples=40, dim=4, loss="ls", seed=7)
         problem = split_regression(prob, n_nodes=4, ridge=1e-2)
         cfg = SolverConfig()
-        state, node_states = start_round_state(problem, cfg)
+        state = start_round_state(problem, cfg)
         for _ in range(5):
-            state, _ = consensus_round(problem, state, node_states, "local-dbb", cfg)
+            state, _ = consensus_round(problem, state, "local-dbb", cfg)
         z = state.x[:4]
         resid = np.zeros(4)
         for j in range(4):
@@ -125,10 +286,10 @@ class TestRoundMechanics:
         """With one shared stepsize the round is plain gradient descent."""
         problem = scalar_curvature_problem([1.0, 3.0, 5.0], dim=4)
         cfg = SolverConfig(line_search="off")
-        state, node_states = start_round_state(problem, cfg)
+        state = start_round_state(problem, cfg)
         z0 = state.x[:4].copy()
         np.testing.assert_array_equal(state.x.reshape(3, 4)[1], z0)
-        state, _ = consensus_round(problem, state, node_states, "global-bb", cfg)
+        state, _ = consensus_round(problem, state, "global-bb", cfg)
         assert state.metric.u_min == state.metric.u_max
         u = state.metric.u_min
         mean_grad = np.mean(
@@ -153,11 +314,12 @@ class TestRoundMechanics:
         with pytest.raises(ValueError):
             solve_consensus(problem, np.zeros(3), "median-bb")
         with pytest.raises(ValueError):
-            local_metric(
+            consensus_metric(
                 StepPair(np.ones(2), np.ones(2)),
-                "global-bb",
+                "median-bb",
                 SolverConfig().bb_config(),
                 StepsizeState.initial(2),
+                1,
             )
 
 
@@ -208,3 +370,169 @@ class TestSolveConsensus:
         lhs = (2.0 / 120) * A.T @ A + 2.0 * 3 * 1e-2 * np.eye(6)
         rhs = (2.0 / 120) * A.T @ b
         np.testing.assert_allclose(res.z, np.linalg.solve(lhs, rhs), atol=1e-6)
+
+
+def shards(loss):
+    """Three nodes over a 60x6 regression; monotone runs backtrack on it."""
+    prob = generate_regression(n_samples=60, dim=6, loss=loss, seed=0)
+    return split_regression(prob, n_nodes=3, ridge=1e-2)
+
+
+def rule_rows(rng, dim=5):
+    """(S, Y) rows covering every branch of the BB rules, one pair per row."""
+    s_rows, y_rows = [], []
+
+    def add(s, y):
+        s_rows.append(np.asarray(s, dtype=float))
+        y_rows.append(np.asarray(y, dtype=float))
+
+    for _ in range(6):  # generic curvature, close and far BB values
+        s = rng.standard_normal(dim)
+        add(s, s * rng.uniform(0.1, 10.0, dim) + 0.1 * rng.standard_normal(dim))
+    add(np.zeros(dim), rng.standard_normal(dim))                # s = 0
+    s = rng.standard_normal(dim)
+    add(s, -s)                                                  # <s, y> < 0
+    add(np.eye(dim)[0], np.eye(dim)[1])                         # <s, y> = 0
+    add(rng.standard_normal(dim), np.zeros(dim))                # y = 0
+    s = rng.standard_normal(dim)
+    add(s, 1e12 * s)                                            # below alpha_min
+    add(s, 1e-12 * s)                                           # above alpha_max
+    y = np.zeros(dim)
+    y[:2] = 1e-20, 1e200
+    add(np.eye(dim)[0] * 1e-300, y)  # <s, y> denormal, ||y||^2 = inf: alpha 0
+    swaps = 0
+    while swaps < 3:  # colinear pairs where rounding puts bb1 below bb2
+        s = rng.standard_normal(dim)
+        y = rng.uniform(0.5, 2.0) * s
+        pair = StepPair(s, y)
+        if bb1(pair) < bb2(pair):
+            add(s, y)
+            swaps += 1
+    return np.array(s_rows), np.array(y_rows)
+
+
+class TestBatchedRound:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rowwise_rules_match_the_scalar_rules_bitwise(self):
+        rng = np.random.default_rng(11)
+        S, Y = rule_rows(rng)
+        m = S.shape[0]
+        config = SolverConfig().bb_config()
+        prev_alpha = rng.uniform(0.1, 10.0, m)
+        u_prev = rng.uniform(0.1, 10.0, S.shape)
+        # degenerate rows divide by zero in no warning; the overflowing row
+        # warns in both rules alike, so overflow is silenced
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            alphas = node_hybrid_bb(S, Y, config, prev_alpha)
+            diags = node_diagonal_bb(S, Y, config, u_prev)
+        branches = set()
+        for j in range(m):
+            pair = StepPair(S[j], Y[j])
+            a1, a2 = bb1(pair), bb2(pair)
+            if a1 is None or a2 is None:
+                branches.add("degenerate")
+            else:
+                close = a1 < config.delta * a2
+                alpha = a2 if close else a1 - a2 / config.delta
+                branches.add("bb2" if close else "gap")
+                branches.add("swap" if a1 < a2 else "ordered")
+                branches.add("nonpositive" if alpha <= 0.0 else "positive")
+            want = hybrid_bb(pair, config, StepsizeState(prev_alpha=prev_alpha[j]))
+            assert np.float64(alphas[j]).tobytes() == np.float64(want).tobytes(), j
+            state = StepsizeState(prev_metric=DiagonalMetric(u_prev[j]))
+            assert diags[j].tobytes() == diagonal_bb(pair, config, state).diag.tobytes(), j
+        assert branches == {
+            "degenerate", "bb2", "gap", "swap", "ordered", "nonpositive", "positive"
+        }
+
+    def test_hybrid_rule_takes_a_scalar_fallback(self):
+        S = np.zeros((2, 3))
+        Y = np.ones((2, 3))
+        config = SolverConfig().bb_config()
+        np.testing.assert_array_equal(node_hybrid_bb(S, Y, config, 0.5), [0.5, 0.5])
+
+    @pytest.mark.parametrize("line_search_mode", ["nonmonotone", "monotone", "off"])
+    @pytest.mark.parametrize("loss", ["ls", "logistic"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_solve_matches_the_per_node_reference_bitwise(
+        self, mode, loss, line_search_mode
+    ):
+        problem = shards(loss)
+        config = SolverConfig(
+            line_search=line_search_mode, mu=1e-6, eps_tol=1e-8, max_iter=300
+        )
+        got = solve_consensus(problem, np.zeros(6), mode, config)
+        z, status, trace = reference_solve(problem, np.zeros(6), mode, config)
+        assert got.status == status
+        assert got.iterations == len(trace)
+        assert got.z.tobytes() == z.tobytes()
+        assert [record_bits(r) for r in got.trace] == [record_bits(r) for r in trace]
+        if line_search_mode == "monotone":
+            assert sum(r.backtracks for r in trace) > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_metric_build_per_round_plus_one_per_backtrack(self, mode, monkeypatch):
+        problem = shards("ls")
+        m = problem.n_nodes
+        config = SolverConfig(line_search="monotone", mu=1e-6)
+        state = start_round_state(problem, config)
+        node_states = [StepsizeState.initial(problem.dim) for _ in range(m)]
+        builds = count_metric_builds(monkeypatch)
+        reference_round(problem, dataclasses.replace(state), node_states, mode, config)
+        assert len(builds) >= 2 * m
+        backtracks = 0
+        for _ in range(15):
+            builds.clear()
+            try:
+                state, rec = consensus_round(problem, state, mode, config)
+            except LineSearchError:
+                break
+            assert len(builds) == 1 + rec.backtracks
+            backtracks += rec.backtracks
+        assert backtracks > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_node_memory_is_the_accepted_stacked_metric(self, mode):
+        problem = shards("ls")
+        config = SolverConfig(line_search="monotone")
+        state = start_round_state(problem, config)
+        for _ in range(3):
+            state, _ = consensus_round(problem, state, mode, config)
+            assert state.stepsize_state.prev_metric is state.metric
+        alpha = state.stepsize_state.prev_alpha
+        assert np.shape(alpha) == ((problem.n_nodes,) if mode == "local-bb" else ())
+
+    def test_line_search_error_carries_the_round_index(self):
+        problem = scalar_curvature_problem([1.0, 3.0], dim=3)
+        config = SolverConfig(max_backtracks=0)
+        state = start_round_state(problem, config)
+        # a zero step pair falls back to prev_alpha; a stepsize of 1e3 on
+        # curvatures 1 and 3 overshoots, so the round must backtrack
+        state.x_prev = state.x
+        state.grad_prev = state.grad
+        state.stepsize_state.prev_alpha = 1e3
+        with pytest.raises(LineSearchError) as info:
+            consensus_round(problem, state, "local-bb", config)
+        assert info.value.iteration == state.iteration == 1
+
+    def test_grad_map_stop_rule_is_honoured(self):
+        problem = shards("ls")
+        config = SolverConfig(stop_rule="grad-map", eps_tol=1e-3)
+        res = solve_consensus(problem, np.zeros(6), "local-dbb", config)
+        assert res.status == CONVERGED
+        forward = solve_consensus(
+            problem, np.zeros(6), "local-dbb",
+            dataclasses.replace(config, stop_rule="forward-step"),
+        )
+        assert forward.iterations != res.iterations
+        # replay: the run ends at the first round whose relative U-scaled
+        # step ||U (x^k - x^{k+1})|| / max(1, ||x^{k+1}||) is within eps_tol
+        f, g = problem.stacked(), Consensus(problem.n_nodes)
+        state, _ = warmup_step(f, g, np.zeros(6 * problem.n_nodes), config)
+        for rounds in range(2, res.iterations + 1):
+            state, _ = consensus_round(problem, state, "local-dbb", config)
+            step = np.linalg.norm(state.metric.apply(state.x_prev - state.x))
+            stopped = step / max(1.0, np.linalg.norm(state.x)) <= config.eps_tol
+            assert stopped == (rounds == res.iterations)
+        assert res.z.tobytes() == state.x[:6].tobytes()
