@@ -176,13 +176,9 @@ def _solver_config(spec, method=None):
         eps_tol=spec.get("eps_tol") or _default_eps(kind),
         max_iter=spec.get("max_iter") or 5000,
     )
-    for key in ("mu", "m_ls", "beta", "delta", "max_backtracks"):
+    for key in ("mu", "m_ls", "beta", "delta", "line_search"):
         if spec.get(key) is not None:
             kwargs[key] = spec[key]
-    if spec.get("line_search") is not None:
-        kwargs["line_search"] = spec["line_search"]
-    if spec.get("fixed_stepsize") is not None:
-        kwargs["fixed_stepsize"] = spec["fixed_stepsize"]
     try:
         return SolverConfig(**kwargs)
     except ValueError as err:
@@ -229,63 +225,73 @@ def _summary_rows(records, per_method):
     return rows + _aggregate_rows(per_method)
 
 
-def cmd_bench(spec):
+def _grid(spec, variants, runs, columns):
+    """Solve every (seed, variant) cell; write its trace and summary.csv.
+
+    runs(seed) builds the seed's problem and returns a function that solves
+    it for one variant (a method or a consensus mode).
+    """
     out = spec["out"]
     timing = spec.get("timing", "wall")
     records = []
-    per_method = {m: [] for m in spec["methods"]}
+    per_variant = {v: [] for v in variants}
     for seed in spec["seeds"]:
-        problem = _build_problem(spec, seed)
-        f = smooth_part(problem)
-        g = _regularizer(spec, problem)
-        x0 = np.zeros(f.dim)
-        for method in spec["methods"]:
-            config = _solver_config(spec, method)
+        run = runs(seed)
+        for variant in variants:
             start = time.perf_counter()
-            result = solve(f, g, x0, config)
+            result = run(variant)
             wall = 0.0 if timing == "none" else (time.perf_counter() - start) * 1e3
             _write_csv(
-                os.path.join(out, f"trace_{method}_{seed}.csv"),
-                TRACE_COLUMNS,
+                os.path.join(out, f"trace_{variant}_{seed}.csv"),
+                columns,
                 _trace_rows(result.trace, timing),
                 spec,
                 seed,
             )
-            run = {
-                "method": method,
+            record = {
+                "method": variant,
                 "seed": seed,
                 "iterations": result.iterations,
                 "wall_ms": wall,
                 "final_objective": result.final_objective,
                 "status": result.status,
             }
-            records.append(run)
-            per_method[method].append(run)
+            records.append(record)
+            per_variant[variant].append(record)
     _write_csv(
         os.path.join(out, "summary.csv"),
         SUMMARY_COLUMNS,
-        _summary_rows(records, per_method),
+        _summary_rows(records, per_variant),
         spec,
         ",".join(str(s) for s in spec["seeds"]),
     )
     return 0 if all(r["status"] == CONVERGED for r in records) else 2
 
 
+def cmd_bench(spec):
+    def runs(seed):
+        problem = _build_problem(spec, seed)
+        f = smooth_part(problem)
+        g = _regularizer(spec, problem)
+        x0 = np.zeros(f.dim)
+        return lambda method: solve(f, g, x0, _solver_config(spec, method))
+
+    return _grid(spec, spec["methods"], runs, TRACE_COLUMNS)
+
+
 def cmd_sweep_mu(spec):
     out = spec["out"]
-    timing = spec.get("timing", "wall")
     mus = spec.get("mus") or [1e-8, 1e-2, 1e-1, 1.0]
+    instances = []
+    for seed in spec["seeds"]:
+        problem = _build_problem(spec, seed)
+        instances.append((seed, smooth_part(problem), _regularizer(spec, problem)))
     long_rows = []
     summary = []
     failed = False
     for mu in mus:
-        for seed in spec["seeds"]:
-            problem = _build_problem(spec, seed)
-            f = smooth_part(problem)
-            g = _regularizer(spec, problem)
-            local = dict(spec)
-            local["mu"] = mu
-            config = _solver_config(local, "vmpg-dbb")
+        config = _solver_config(dict(spec, mu=mu), "vmpg-dbb")
+        for seed, f, g in instances:
             result = solve(f, g, np.zeros(f.dim), config)
             failed = failed or result.status != CONVERGED
             for rec in result.trace:
@@ -309,57 +315,24 @@ def cmd_sweep_mu(spec):
         spec,
         seeds_label,
     )
-    del timing
     return 2 if failed else 0
 
 
 def cmd_consensus(spec):
-    out = spec["out"]
-    timing = spec.get("timing", "wall")
     kind = spec["kind"]
     if kind == "qp":
         raise UsageError("consensus runs on regression problems (ls or logistic)")
     mu_default = 1.0 if kind == "ls" else 1e-8
-    records = []
-    per_mode = {m: [] for m in spec["modes"]}
-    for seed in spec["seeds"]:
+    solver_spec = dict(spec, mu=mu_default if spec.get("mu") is None else spec["mu"])
+
+    def runs(seed):
         base = _build_problem(spec, seed)
         problem = split_regression(base, spec["nodes"], spec.get("ridge", 1e-2))
         x0 = np.zeros(problem.dim)
-        for mode in spec["modes"]:
-            local = dict(spec)
-            local.setdefault("mu", None)
-            if local["mu"] is None:
-                local["mu"] = mu_default
-            config = _solver_config(local, "vmpg-dbb")
-            start = time.perf_counter()
-            result = solve_consensus(problem, x0, mode=mode, config=config)
-            wall = 0.0 if timing == "none" else (time.perf_counter() - start) * 1e3
-            _write_csv(
-                os.path.join(out, f"trace_{mode}_{seed}.csv"),
-                TRACE_COLUMNS + ("bytes_exchanged",),
-                _trace_rows(result.trace, timing),
-                spec,
-                seed,
-            )
-            run = {
-                "method": mode,
-                "seed": seed,
-                "iterations": result.iterations,
-                "wall_ms": wall,
-                "final_objective": result.final_objective,
-                "status": result.status,
-            }
-            records.append(run)
-            per_mode[mode].append(run)
-    _write_csv(
-        os.path.join(out, "summary.csv"),
-        SUMMARY_COLUMNS,
-        _summary_rows(records, per_mode),
-        spec,
-        ",".join(str(s) for s in spec["seeds"]),
-    )
-    return 0 if all(r["status"] == CONVERGED for r in records) else 2
+        config = _solver_config(solver_spec, "vmpg-dbb")
+        return lambda mode: solve_consensus(problem, x0, mode=mode, config=config)
+
+    return _grid(spec, spec["modes"], runs, TRACE_COLUMNS + ("bytes_exchanged",))
 
 
 def cmd_gen(spec):
@@ -556,9 +529,12 @@ _CONFIG_KEYS = {
     "line_search": str,
     "mus": str,
     "nodes": int,
-    "mode": str,
+    "modes": str,
     "ridge": float,
 }
+
+# Flags and INI keys that name one item but may list several.
+_SPEC_KEYS = {"seed": "seeds", "method": "methods", "mode": "modes"}
 
 
 def _read_config_file(path):
@@ -570,10 +546,7 @@ def _read_config_file(path):
     for section in parser.sections():
         for key, raw in parser.items(section):
             key = key.replace("-", "_")
-            if key == "method":
-                key = "methods"
-            if key == "seed":
-                key = "seeds"
+            key = _SPEC_KEYS.get(key, key)
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"{path}: unknown config key {key!r} in [{section}]")
             caster = _CONFIG_KEYS[key]
@@ -590,42 +563,9 @@ def _assemble_spec(args):
     spec = {}
     if getattr(args, "config", None):
         spec.update(_read_config_file(args.config))
-    cli_map = {
-        "kind": "kind",
-        "n": "n",
-        "kappa": "kappa",
-        "n_samples": "n_samples",
-        "reg": "reg",
-        "lam": "lam",
-        "lam2": "lam2",
-        "noise": "noise",
-        "data": "data",
-        "label_column": "label_column",
-        "out": "out",
-        "max_iter": "max_iter",
-        "eps_tol": "eps_tol",
-        "mu": "mu",
-        "m_ls": "m_ls",
-        "beta": "beta",
-        "timing": "timing",
-        "line_search": "line_search",
-        "nodes": "nodes",
-        "ridge": "ridge",
-        "problem_file": "problem_file",
-    }
-    for attr, key in cli_map.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            spec[key] = val
-
-    if getattr(args, "seed", None) is not None:
-        spec["seeds"] = args.seed
-    if getattr(args, "method", None) is not None:
-        spec["methods"] = args.method
-    if getattr(args, "mus", None) is not None:
-        spec["mus"] = args.mus
-    if getattr(args, "mode", None) is not None:
-        spec["modes"] = args.mode
+    for attr, val in vars(args).items():
+        if val is not None and attr not in ("command", "config"):
+            spec[_SPEC_KEYS.get(attr, attr)] = val
 
     spec["seeds"] = _parse_int_list(spec.get("seeds", "0"), "--seed")
     if not spec["seeds"]:

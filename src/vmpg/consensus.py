@@ -14,7 +14,6 @@ The execution here is a deterministic sequential simulation: node updates
 are independent within a round and the reduction is summed in node order.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,18 +21,16 @@ import numpy as np
 from .core import DiagonalMetric, SmoothObjective, as_vector
 from .prox import Consensus
 from .solver import (
-    CONVERGED,
-    LINE_SEARCH_FAILURE,
-    MAX_ITER,
-    LineSearchError,
     SolverConfig,
     TraceRecord,
+    _advance,
+    _iterate,
     _reference_value,
-    _stopped,
+    # not called here: kept so that code patching vmpg.consensus.line_search
+    # (as the benchmark's tracer does) still finds the attribute
     line_search,
-    warmup_step,
 )
-from .stepsize import StepPair, StepsizeState, diagonal_bb, hybrid_bb
+from .stepsize import StepPair, diagonal_bb, hybrid_bb
 from .problems import LeastSquaresObjective, LogisticObjective, RegressionProblem
 
 MODES = ("local-bb", "local-dbb", "global-bb", "global-dbb")
@@ -215,122 +212,67 @@ def consensus_metric(pair, mode, bb_config, state, n_nodes):
     raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
 
 
+def _with_bytes(record, problem):
+    """record as a ConsensusTraceRecord carrying the round's communication."""
+    return ConsensusTraceRecord(
+        **vars(record), bytes_exchanged=problem.bytes_per_round()
+    )
+
+
 def consensus_round(problem, state, mode="local-dbb", config=None):
     """Advance one synchronous round; returns (state, ConsensusTraceRecord).
 
     Each node takes a forward step under its metric, the scaled consensus
     prox aggregates the metric-weighted average z, and z is broadcast back,
-    so after the round every node copy in state.x equals z.  The nonmonotone
-    acceptance test runs on the summed objective and rescales all blocks on
-    rejection.  Node memory lives in state.stepsize_state: prev_metric is
-    the stacked metric accepted last round and prev_alpha the last scalar
-    stepsize (one per node in local-bb).  A round builds one metric plus one
-    per backtrack.  Raises LineSearchError after max_backtracks.
+    so after the round every node copy in state.x equals z.  The round is
+    solve's iteration kernel on the stacked objective with the Consensus
+    prox and the metric from consensus_metric: the nonmonotone acceptance
+    test runs on the summed objective and rescales all blocks on rejection.
+    Node memory lives in state.stepsize_state: prev_metric is the stacked
+    metric accepted last round and prev_alpha the last scalar stepsize (one
+    per node in local-bb).  A round builds one metric plus one per
+    backtrack.  Raises LineSearchError after max_backtracks.
     """
     if mode not in MODES:
         raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
     config = config or SolverConfig()
     f = problem.stacked()
     g = Consensus(problem.n_nodes)
-    t0 = time.perf_counter()
     pair = StepPair(state.x - state.x_prev, state.grad - state.grad_prev)
     metric, alpha = consensus_metric(
         pair, mode, config.bb_config(), state.stepsize_state, problem.n_nodes
     )
-    f_ref = _reference_value(state, config)
-    try:
-        x_new, y_new, metric, backtracks, f_new = line_search(
-            f, g, state.x, state.grad, metric, f_ref, config
-        )
-    except LineSearchError as err:
-        err.iteration = state.iteration
-        raise
-    diff = x_new - state.x
-    mapping = metric.apply(-diff)
-    rec = ConsensusTraceRecord(
-        iter=state.iteration,
-        objective=f_new,
-        grad_map_norm=float(np.sqrt(np.dot(mapping**2, 1.0 / metric.diag))),
-        step_norm_u=metric.norm(diff),
-        backtracks=backtracks,
-        u_min=metric.u_min,
-        u_max=metric.u_max,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        bytes_exchanged=problem.bytes_per_round(),
+    state, record = _advance(
+        f, g, state, metric, alpha, _reference_value(state, config), config
     )
-    history = state.f_history + [f_new]
-    if len(history) > config.m_ls + 1:
-        history = history[-(config.m_ls + 1):]
-    state.x_prev = state.x
-    state.x = x_new
-    state.grad_prev = state.grad
-    state.grad = f.gradient(x_new)
-    state.metric = metric
-    state.f_history = history
-    state.iteration += 1
-    state.stepsize_state = StepsizeState(prev_alpha=alpha, prev_metric=metric)
-    state.forward = y_new
-    state.f_x = f_new
-    return state, rec
+    return state, _with_bytes(record, problem)
 
 
 def solve_consensus(problem, x0, mode="local-dbb", config=None):
     """Run consensus rounds from a shared starting point x0.
 
-    Every node starts at x0; rounds proceed until config.stop_rule holds on
-    the stacked iterates, as in solve, or max_iter.
-    Returns the consensus point z with a per-round trace that includes the
-    bytes-exchanged cost metric.
+    Every node starts at x0; the rounds run under solve's driver, so they
+    proceed until config.stop_rule holds on the stacked iterates or
+    max_iter.  Returns the consensus point z with a per-round trace that
+    includes the bytes-exchanged cost metric.
     """
     if mode not in MODES:
         raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
     config = config or SolverConfig()
     x0 = as_vector(x0, dim=problem.dim, name="x0")
-    f = problem.stacked()
-    g = Consensus(problem.n_nodes)
-    m, n = problem.n_nodes, problem.dim
-    stacked0 = np.tile(x0, m)
-    t0 = time.perf_counter()
-    bytes_per_round = problem.bytes_per_round()
-
-    def consensus_record(rec):
-        return ConsensusTraceRecord(
-            **{k: getattr(rec, k) for k in rec.__dataclass_fields__},
-            bytes_exchanged=bytes_per_round,
-        )
-
-    try:
-        state, rec = warmup_step(f, g, stacked0, config)
-    except LineSearchError:
-        return ConsensusResult(
-            z=x0,
-            status=LINE_SEARCH_FAILURE,
-            trace=[],
-            iterations=0,
-            final_objective=f.value(stacked0) + g.value(stacked0),
-        )
-    rec = consensus_record(rec)
-    rec.wall_ms = (time.perf_counter() - t0) * 1e3
-    trace = [rec]
-    status = MAX_ITER
-
-    while len(trace) < config.max_iter:
-        prev_forward = state.forward
-        try:
-            state, rec = consensus_round(problem, state, mode, config)
-        except LineSearchError:
-            status = LINE_SEARCH_FAILURE
-            break
-        rec.wall_ms = (time.perf_counter() - t0) * 1e3
-        trace.append(rec)
-        if _stopped(state, prev_forward, config):
-            status = CONVERGED
-            break
-
+    x, f_x, trace, status = _iterate(
+        problem.stacked(),
+        Consensus(problem.n_nodes),
+        np.tile(x0, problem.n_nodes),
+        config,
+        lambda state: consensus_round(problem, state, mode, config),
+    )
+    if trace:
+        trace[0] = _with_bytes(trace[0], problem)
     return ConsensusResult(
-        z=state.x[:n].copy(),
+        z=x[:problem.dim].copy(),
         status=status,
         trace=trace,
         iterations=len(trace),
-        final_objective=state.f_x,
+        final_objective=f_x,
     )

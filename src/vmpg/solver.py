@@ -188,31 +188,17 @@ def _resolve_fixed_stepsize(f, config):
     )
 
 
-def vmpg_step(f, g, state, config):
-    """Advance one iteration from x^k; returns (new_state, TraceRecord).
+def _advance(f, g, state, metric, alpha, f_ref, config):
+    """The forward-backward update from x^k under the metric a rule chose.
 
-    The metric is chosen by the configured rule from the step pair
-    (x^k - x^{k-1}, grad change), then backtracked until the nonmonotone
-    criterion accepts.  Raises LineSearchError after max_backtracks.
+    Backtracks the metric until the test against f_ref accepts, records the
+    iteration and returns (next state, TraceRecord); the next stepsize
+    memory is (alpha, accepted metric).  The warm-up, vmpg-dbb, pg-bb,
+    pg-fixed and every consensus mode differ only in how they choose metric,
+    alpha and f_ref before this call.
+    Raises LineSearchError, stamped with the index k, after max_backtracks.
     """
     t0 = time.perf_counter()
-    pair = StepPair(state.x - state.x_prev, state.grad - state.grad_prev)
-    bb_cfg = config.bb_config()
-    ss = state.stepsize_state
-    alpha = ss.prev_alpha
-    if config.method == "vmpg-dbb":
-        metric = diagonal_bb(pair, bb_cfg, ss)
-    elif config.method == "pg-bb":
-        alpha = hybrid_bb(pair, bb_cfg, ss)
-        metric = DiagonalMetric.uniform(state.x.shape[0], 1.0 / alpha)
-    elif config.method == "pg-fixed":
-        metric = DiagonalMetric.uniform(
-            state.x.shape[0], 1.0 / _resolve_fixed_stepsize(f, config)
-        )
-    else:
-        raise ValueError(f"vmpg_step does not drive method {config.method!r}")
-
-    f_ref = _reference_value(state, config)
     try:
         x_new, y_new, metric, backtracks, f_new = line_search(
             f, g, state.x, state.grad, metric, f_ref, config
@@ -223,11 +209,10 @@ def vmpg_step(f, g, state, config):
 
     diff = x_new - state.x
     mapping = metric.apply(-diff)  # G_{U^k}(x^k) = U^k (x^k - x^{k+1})
-    grad_map_norm = float(np.sqrt(np.dot(mapping**2, 1.0 / metric.diag)))
     record = TraceRecord(
         iter=state.iteration,
         objective=f_new,
-        grad_map_norm=grad_map_norm,
+        grad_map_norm=float(np.sqrt(np.dot(mapping**2, 1.0 / metric.diag))),
         step_norm_u=metric.norm(diff),
         backtracks=backtracks,
         u_min=metric.u_min,
@@ -252,47 +237,58 @@ def vmpg_step(f, g, state, config):
     return new_state, record
 
 
+def vmpg_step(f, g, state, config):
+    """Advance one iteration from x^k; returns (new_state, TraceRecord).
+
+    The metric is chosen by the configured rule from the step pair
+    (x^k - x^{k-1}, grad change), then backtracked until the nonmonotone
+    criterion accepts.  Raises LineSearchError after max_backtracks.
+    """
+    pair = StepPair(state.x - state.x_prev, state.grad - state.grad_prev)
+    bb_cfg = config.bb_config()
+    ss = state.stepsize_state
+    alpha = ss.prev_alpha
+    if config.method == "vmpg-dbb":
+        metric = diagonal_bb(pair, bb_cfg, ss)
+    elif config.method == "pg-bb":
+        alpha = hybrid_bb(pair, bb_cfg, ss)
+        metric = DiagonalMetric.uniform(state.x.shape[0], 1.0 / alpha)
+    elif config.method == "pg-fixed":
+        metric = DiagonalMetric.uniform(
+            state.x.shape[0], 1.0 / _resolve_fixed_stepsize(f, config)
+        )
+    else:
+        raise ValueError(f"vmpg_step does not drive method {config.method!r}")
+    return _advance(f, g, state, metric, alpha, _reference_value(state, config), config)
+
+
 def warmup_step(f, g, x0, config):
     """Produce x^1 by one proximal-gradient step with a conservative stepsize.
 
     Uses alpha0 = min(1, 1 / ||grad f(x^0)||) and a monotone acceptance test
-    against F(x^0); the BB rules take over from the resulting step pair.
+    against F(x^0); the BB rules take over from the resulting step pair,
+    starting from the identity metric rather than the warm-up one.
     """
-    t0 = time.perf_counter()
     x0 = as_vector(x0, dim=f.dim, name="x0")
     grad0 = f.gradient(x0)
     gnorm = float(np.linalg.norm(grad0))
     alpha0 = min(1.0, 1.0 / gnorm) if gnorm > 0 else 1.0
     metric = DiagonalMetric.uniform(x0.shape[0], 1.0 / alpha0)
-    f0 = composite_value(f, g, x0)
-    f_ref = None if config.line_search == "off" else f0
-    x1, y1, metric, backtracks, f1 = line_search(
-        f, g, x0, grad0, metric, f_ref, config
-    )
-    diff = x1 - x0
-    mapping = metric.apply(-diff)
-    record = TraceRecord(
-        iter=0,
-        objective=f1,
-        grad_map_norm=float(np.sqrt(np.dot(mapping**2, 1.0 / metric.diag))),
-        step_norm_u=metric.norm(diff),
-        backtracks=backtracks,
-        u_min=metric.u_min,
-        u_max=metric.u_max,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    state = SolverState(
-        x=x1,
+    f_ref = None if config.line_search == "off" else composite_value(f, g, x0)
+    start = SolverState(
+        x=x0,
         x_prev=x0,
-        grad=f.gradient(x1),
+        grad=grad0,
         grad_prev=grad0,
         metric=metric,
-        f_history=[f1],
-        iteration=1,
+        f_history=[],
+        iteration=0,
         stepsize_state=StepsizeState.initial(x0.shape[0]),
-        forward=y1,
-        f_x=f1,
+        forward=x0,
+        f_x=f_ref,
     )
+    state, record = _advance(f, g, start, metric, alpha0, f_ref, config)
+    state.stepsize_state = start.stepsize_state
     return state, record
 
 
@@ -302,6 +298,36 @@ def _stopped(state, prev_forward, config):
     mapping = state.metric.apply(state.x_prev - state.x)
     rel = float(np.linalg.norm(mapping)) / max(1.0, float(np.linalg.norm(state.x)))
     return rel <= config.eps_tol
+
+
+def _iterate(f, g, x0, config, step):
+    """Warm up, then state = step(state) until the stop rule holds or max_iter.
+
+    Each record's wall_ms is the time since the start of the run.  Returns
+    (x, F(x), trace, status); a warm-up whose line search fails returns x0.
+    """
+    t0 = time.perf_counter()
+    try:
+        state, record = warmup_step(f, g, x0, config)
+    except LineSearchError:
+        x0 = as_vector(x0, dim=f.dim, name="x0")
+        return x0, composite_value(f, g, x0), [], LINE_SEARCH_FAILURE
+    record.wall_ms = (time.perf_counter() - t0) * 1e3
+    trace = [record]
+    status = MAX_ITER
+    while len(trace) < config.max_iter:
+        prev_forward = state.forward
+        try:
+            state, record = step(state)
+        except LineSearchError:
+            status = LINE_SEARCH_FAILURE
+            break
+        record.wall_ms = (time.perf_counter() - t0) * 1e3
+        trace.append(record)
+        if _stopped(state, prev_forward, config):
+            status = CONVERGED
+            break
+    return state.x, state.f_x, trace, status
 
 
 def solve(f, g, x0, config=None):
@@ -322,39 +348,11 @@ def solve(f, g, x0, config=None):
     config = config or SolverConfig()
     if config.method == "fista":
         return fista(f, g, x0, stepsize=config.fixed_stepsize, config=config)
-    t0 = time.perf_counter()
-    try:
-        state, record = warmup_step(f, g, x0, config)
-    except LineSearchError:
-        x0 = as_vector(x0, dim=f.dim, name="x0")
-        return SolveResult(
-            x=x0,
-            status=LINE_SEARCH_FAILURE,
-            trace=[],
-            iterations=0,
-            final_objective=composite_value(f, g, x0),
-        )
-    record.wall_ms = (time.perf_counter() - t0) * 1e3
-    trace = [record]
-    status = MAX_ITER
-    while len(trace) < config.max_iter:
-        prev_forward = state.forward
-        try:
-            state, record = vmpg_step(f, g, state, config)
-        except LineSearchError:
-            status = LINE_SEARCH_FAILURE
-            break
-        record.wall_ms = (time.perf_counter() - t0) * 1e3
-        trace.append(record)
-        if _stopped(state, prev_forward, config):
-            status = CONVERGED
-            break
+    x, f_x, trace, status = _iterate(
+        f, g, x0, config, lambda state: vmpg_step(f, g, state, config)
+    )
     return SolveResult(
-        x=state.x,
-        status=status,
-        trace=trace,
-        iterations=len(trace),
-        final_objective=state.f_x,
+        x=x, status=status, trace=trace, iterations=len(trace), final_objective=f_x
     )
 
 

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import vmpg.cli
 from vmpg import __version__
 from vmpg.cli import main
 from vmpg.problems import generate_qp
@@ -125,6 +126,27 @@ class TestSweepMu:
         assert len(rows) == 4
         assert all(r[4] == "converged" for r in rows)
 
+    def test_each_seed_is_built_once_for_all_mus(self, tmp_path, monkeypatch):
+        built = []
+        generate = vmpg.cli.generate_qp
+
+        def counting(n, kappa, seed):
+            built.append(seed)
+            return generate(n, kappa, seed)
+
+        monkeypatch.setattr(vmpg.cli, "generate_qp", counting)
+        out = str(tmp_path / "o")
+        assert main([
+            "sweep-mu", "--kind", "qp", "--n", "10", "--kappa", "10",
+            "--seed", "0,1", "--mus", "1e-8,0.01,1", "--out", out,
+        ]) == 0
+        assert built == [0, 1]
+        _, rows = data_rows(os.path.join(out, "sweep_summary.csv"))
+        assert [(r[0], r[1]) for r in rows] == [
+            ("1e-08", "0"), ("1e-08", "1"), ("0.01", "0"), ("0.01", "1"),
+            ("1", "0"), ("1", "1"),
+        ]
+
 
 class TestConsensusCommand:
     def test_modes_and_bytes_column(self, tmp_path):
@@ -227,6 +249,16 @@ class TestConfigAndEnvironment:
         out = str(tmp_path / "o")
         assert main(["bench", "--config", str(cfg), "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "trace_pg-bb_4.csv"))
+
+    def test_ini_mode_selects_the_consensus_mode(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            "[run]\nkind = ls\nn = 8\nn-samples = 60\nnodes = 3\nseed = 0\n"
+            "mode = global-bb\n"
+        )
+        out = str(tmp_path / "o")
+        assert main(["consensus", "--config", str(cfg), "--out", out]) == 0
+        assert sorted(os.listdir(out)) == ["summary.csv", "trace_global-bb_0.csv"]
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -27,6 +27,7 @@ from vmpg.solver import (
     LineSearchError,
     SolverConfig,
     line_search,
+    solve,
     warmup_step,
 )
 from vmpg.stepsize import StepPair, StepsizeState, bb1, bb2, diagonal_bb, hybrid_bb
@@ -536,3 +537,34 @@ class TestBatchedRound:
             stopped = step / max(1.0, np.linalg.norm(state.x)) <= config.eps_tol
             assert stopped == (rounds == res.iterations)
         assert res.z.tobytes() == state.x[:6].tobytes()
+
+
+class TestSharedDriver:
+    @pytest.mark.parametrize("stop_rule", ["forward-step", "grad-map"])
+    @pytest.mark.parametrize("line_search_mode", ["nonmonotone", "monotone", "off"])
+    @pytest.mark.parametrize("loss", ["ls", "logistic"])
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    @pytest.mark.parametrize("mode, method", [("global-dbb", "vmpg-dbb"),
+                                              ("global-bb", "pg-bb")])
+    def test_global_modes_are_solve_on_the_stacked_problem(
+        self, mode, method, m, loss, line_search_mode, stop_rule
+    ):
+        """A global mode is solve's method on (stacked f, Consensus prox), bitwise."""
+        config = SolverConfig(
+            line_search=line_search_mode, stop_rule=stop_rule, eps_tol=1e-6, max_iter=150
+        )
+        for seed in range(3):
+            problem = split_regression(
+                generate_regression(n_samples=70, dim=6, loss=loss, seed=seed), m, 1e-2
+            )
+            x0 = np.full(6, 0.1)
+            got = solve_consensus(problem, x0, mode, config)
+            want = solve(problem.stacked(), Consensus(m), np.tile(x0, m),
+                         dataclasses.replace(config, method=method))
+            assert got.status == want.status
+            assert got.iterations == want.iterations
+            assert got.z.tobytes() == want.x[:6].tobytes()
+            # record_bits minus bytes_exchanged, which solve's records lack
+            assert [record_bits(r)[:-1] for r in got.trace] == [
+                record_bits(ConsensusTraceRecord(**vars(r)))[:-1] for r in want.trace
+            ]

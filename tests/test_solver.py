@@ -19,6 +19,7 @@ from vmpg.solver import (
     line_search,
     proximal_step,
     solve,
+    warmup_step,
 )
 from vmpg.stepsize import hybrid_bb
 
@@ -172,6 +173,21 @@ class TestSolve:
             SolverConfig(line_search="monotone", max_backtracks=0),
         )
         assert res.status == LINE_SEARCH_FAILURE
+
+    def test_failing_warm_up_reports_iteration_zero(self):
+        f = quadratic([1e6], q=[0.0])
+        config = SolverConfig(line_search="monotone", max_backtracks=0)
+        with pytest.raises(LineSearchError) as info:
+            warmup_step(f, Zero(), np.array([1e-4]), config)
+        assert info.value.iteration == 0
+
+    def test_warm_up_hands_the_bb_rules_an_identity_memory(self):
+        """The BB rules start from the identity, not from the warm-up metric."""
+        f = quadratic([1.0, 4.0, 9.0], q=[1.0, -2.0, 3.0])
+        state, _ = warmup_step(f, Zero(), np.zeros(3), SolverConfig())
+        assert np.all(state.metric.diag > 1.0)  # alpha0 = 1/sqrt(14), backtracked
+        assert state.stepsize_state.prev_alpha == 1.0
+        np.testing.assert_array_equal(state.stepsize_state.prev_metric.diag, np.ones(3))
 
     def test_grad_map_stop_rule(self):
         f = smooth_part(generate_qp(n=20, kappa=10, seed=1))
