@@ -3,6 +3,7 @@
 from .core import (
     BlockDiagonalMetric,
     DiagonalMetric,
+    NumericalError,
     ProxRegularizer,
     SmoothObjective,
     apply_inverse,
@@ -38,6 +39,7 @@ from .solver import (
     CONVERGED,
     LINE_SEARCH_FAILURE,
     MAX_ITER,
+    NUMERICAL_FAILURE,
     LineSearchError,
     SolveResult,
     SolverConfig,

@@ -81,7 +81,8 @@ def _config_hash(spec):
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _write_csv(path, columns, rows, spec, seed):
+def _write_csv(path, columns, lines, spec, seed):
+    """Write the metadata header, the column names and the formatted lines."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# vmpg {__version__}\n")
@@ -89,28 +90,29 @@ def _write_csv(path, columns, rows, spec, seed):
         fh.write("# rng: numpy-pcg64\n")
         fh.write(f"# seed: {seed}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
+        fh.writelines(lines)
 
 
-def _trace_rows(trace, timing):
-    rows = []
-    for rec in trace:
-        wall = 0.0 if timing == "none" else rec.wall_ms
-        row = [
-            rec.iter,
-            rec.objective,
-            rec.grad_map_norm,
-            rec.step_norm_u,
-            rec.backtracks,
-            rec.u_min,
-            rec.u_max,
-            wall,
-        ]
-        if hasattr(rec, "bytes_exchanged"):
-            row.append(rec.bytes_exchanged)
-        rows.append(row)
-    return rows
+def _csv_lines(rows):
+    """Rows of mixed cells, each cell written by _fmt."""
+    return [",".join(_fmt(c) for c in row) + "\n" for row in rows]
+
+
+# One template per trace row; %.17g writes a float exactly as _fmt does.
+_TRACE_LINE = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g"
+
+
+def _trace_lines(trace, timing):
+    rows = [
+        (r.iter, r.objective, r.grad_map_norm, r.step_norm_u, r.backtracks,
+         r.u_min, r.u_max, 0.0 if timing == "none" else r.wall_ms)
+        for r in trace
+    ]
+    if trace and hasattr(trace[0], "bytes_exchanged"):
+        template = _TRACE_LINE + ",%d\n"
+        return [template % (row + (r.bytes_exchanged,)) for row, r in zip(rows, trace)]
+    template = _TRACE_LINE + "\n"
+    return [template % row for row in rows]
 
 
 def _parse_int_list(text, flag):
@@ -173,8 +175,8 @@ def _solver_config(spec, method=None):
     kind = spec["kind"]
     kwargs = dict(
         method=method or "vmpg-dbb",
-        eps_tol=spec.get("eps_tol") or _default_eps(kind),
-        max_iter=spec.get("max_iter") or 5000,
+        eps_tol=_default_eps(kind) if spec.get("eps_tol") is None else spec["eps_tol"],
+        max_iter=5000 if spec.get("max_iter") is None else spec["max_iter"],
     )
     for key in ("mu", "m_ls", "beta", "delta", "line_search"):
         if spec.get(key) is not None:
@@ -244,7 +246,7 @@ def _grid(spec, variants, runs, columns):
             _write_csv(
                 os.path.join(out, f"trace_{variant}_{seed}.csv"),
                 columns,
-                _trace_rows(result.trace, timing),
+                _trace_lines(result.trace, timing),
                 spec,
                 seed,
             )
@@ -261,7 +263,7 @@ def _grid(spec, variants, runs, columns):
     _write_csv(
         os.path.join(out, "summary.csv"),
         SUMMARY_COLUMNS,
-        _summary_rows(records, per_variant),
+        _csv_lines(_summary_rows(records, per_variant)),
         spec,
         ",".join(str(s) for s in spec["seeds"]),
     )
@@ -306,12 +308,12 @@ def cmd_sweep_mu(spec):
                 ]
             )
     seeds_label = ",".join(str(s) for s in spec["seeds"])
-    _write_csv(os.path.join(out, "sweep_mu.csv"), SWEEP_COLUMNS, long_rows, spec,
-               seeds_label)
+    _write_csv(os.path.join(out, "sweep_mu.csv"), SWEEP_COLUMNS, _csv_lines(long_rows),
+               spec, seeds_label)
     _write_csv(
         os.path.join(out, "sweep_summary.csv"),
         ("mu", "seed", "iterations", "final_objective", "status"),
-        summary,
+        _csv_lines(summary),
         spec,
         seeds_label,
     )
@@ -422,7 +424,7 @@ def cmd_solve(spec):
     _write_csv(
         os.path.join(spec["out"], f"trace_{method}_{seed}.csv"),
         TRACE_COLUMNS,
-        _trace_rows(result.trace, timing),
+        _trace_lines(result.trace, timing),
         spec,
         seed,
     )
@@ -595,9 +597,11 @@ def _assemble_spec(args):
     spec.setdefault("nodes", 10)
     if spec["nodes"] < 1:
         raise UsageError("--nodes must be >= 1")
-    spec.setdefault("out", os.environ.get(ENV_OUT_DIR) or "vmpg-out")
-    if args.command == "gen" and "out" not in spec:
-        raise UsageError("gen needs --out")
+    if "out" not in spec:
+        env_out = os.environ.get(ENV_OUT_DIR)
+        if args.command == "gen" and not env_out:
+            raise UsageError(f"gen needs --out or ${ENV_OUT_DIR}")
+        spec["out"] = env_out or "vmpg-out"
     if spec.get("label_column") is not None:
         raw = str(spec["label_column"])
         spec["label_column"] = int(raw) if raw.lstrip("-").isdigit() else raw

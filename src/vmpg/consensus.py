@@ -30,7 +30,7 @@ from .solver import (
     # (as the benchmark's tracer does) still finds the attribute
     line_search,
 )
-from .stepsize import StepPair, diagonal_bb, hybrid_bb
+from .stepsize import StepPair, _guard_pair, diagonal_bb, hybrid_bb
 from .problems import LeastSquaresObjective, LogisticObjective, RegressionProblem
 
 MODES = ("local-bb", "local-dbb", "global-bb", "global-dbb")
@@ -152,12 +152,15 @@ def _node_bb(S, Y):
     """Per-row (alpha_bb1, alpha_bb2, degenerate) as bb1/bb2 give them.
 
     A row is degenerate where bb1 or bb2 returns None; its two values are
-    then meaningless and must not be used.
+    then meaningless and must not be used.  Raises NumericalError when S or
+    Y has a NaN or Inf entry, checked as the scalar rules check a pair.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ss = _row_dot(S, S)
         sy = _row_dot(S, Y)
         yy = _row_dot(Y, Y)
-        return _row_dot(S, S) / sy, sy / yy, (sy <= 0.0) | (yy == 0.0)
+        _guard_pair(ss.sum() + sy.sum() + yy.sum(), S, Y)
+        return ss / sy, sy / yy, (sy <= 0.0) | (yy == 0.0)
 
 
 def node_hybrid_bb(S, Y, config, prev_alpha):
@@ -200,13 +203,13 @@ def consensus_metric(pair, mode, bb_config, state, n_nodes):
         Y = pair.y.reshape(n_nodes, -1)
         if mode == "local-bb":
             alpha = node_hybrid_bb(S, Y, bb_config, state.prev_alpha)
-            return DiagonalMetric(np.repeat(1.0 / alpha, S.shape[1])), alpha
+            return DiagonalMetric._trusted(np.repeat(1.0 / alpha, S.shape[1])), alpha
         u_prev = state.prev_metric.diag.reshape(S.shape)
         diag = node_diagonal_bb(S, Y, bb_config, u_prev)
-        return DiagonalMetric(diag.reshape(-1)), state.prev_alpha
+        return DiagonalMetric._trusted(diag.reshape(-1)), state.prev_alpha
     if mode == "global-bb":
         alpha = hybrid_bb(pair, bb_config, state)
-        return DiagonalMetric.uniform(pair.s.shape[0], 1.0 / alpha), alpha
+        return DiagonalMetric._trusted_uniform(pair.s.shape[0], 1.0 / alpha), alpha
     if mode == "global-dbb":
         return diagonal_bb(pair, bb_config, state), state.prev_alpha
     raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
@@ -231,14 +234,15 @@ def consensus_round(problem, state, mode="local-dbb", config=None):
     Node memory lives in state.stepsize_state: prev_metric is the stacked
     metric accepted last round and prev_alpha the last scalar stepsize (one
     per node in local-bb).  A round builds one metric plus one per
-    backtrack.  Raises LineSearchError after max_backtracks.
+    backtrack.  Raises LineSearchError after max_backtracks and
+    NumericalError when the step pair or a candidate objective is NaN.
     """
     if mode not in MODES:
         raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
     config = config or SolverConfig()
     f = problem.stacked()
     g = Consensus(problem.n_nodes)
-    pair = StepPair(state.x - state.x_prev, state.grad - state.grad_prev)
+    pair = StepPair._trusted(state.x - state.x_prev, state.grad - state.grad_prev)
     metric, alpha = consensus_metric(
         pair, mode, config.bb_config(), state.stepsize_state, problem.n_nodes
     )

@@ -6,6 +6,7 @@ induces the inner product <x, y>_U = x' U y and the norm ||x||_U.
 """
 
 import abc
+import math
 
 import numpy as np
 
@@ -30,28 +31,75 @@ def as_vector(x, dim=None, name="vector"):
     return v
 
 
+class NumericalError(ArithmeticError):
+    """A NaN, or an overflow, in a quantity the solver loop computed itself.
+
+    The loop guards with O(1) checks on scalars it needs anyway (the BB inner
+    products, F(x+), the metric's extremes); ``solve`` and
+    ``solve_consensus`` end with the status "numerical-failure" when one
+    fails.
+    """
+
+
 class DiagonalMetric:
     """Positive-definite diagonal metric U = diag(u).
 
     Entries are validated strictly positive (floor ``METRIC_FLOOR``);
     constructing a metric with a nonpositive or non-finite entry is an
-    error, never a silent clamp.
+    error, never a silent clamp.  ``u_min`` and ``u_max`` are computed once,
+    at construction.
     """
 
-    __slots__ = ("diag",)
+    __slots__ = ("diag", "u_min", "u_max")
 
     def __init__(self, diag):
         d = np.asarray(diag, dtype=float)
         if d.ndim != 1:
             raise ValueError(f"metric diagonal must be 1-D, got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
+        if d.size == 0:
+            raise ValueError("metric diagonal is empty")
+        self.diag = d
+        self.u_min = float(d.min())  # NaN if any entry is NaN
+        self.u_max = float(d.max())
+        if not (math.isfinite(self.u_min) and math.isfinite(self.u_max)):
             raise ValueError("metric diagonal has non-finite entries")
-        if np.any(d < METRIC_FLOOR):
+        if self.u_min < METRIC_FLOOR:
             raise ValueError(
                 f"metric diagonal entries must be >= {METRIC_FLOOR:g} "
-                f"(min was {d.min():g})"
+                f"(min was {self.u_min:g})"
             )
-        self.diag = d
+
+    @classmethod
+    def _trusted(cls, diag, u_min=None, u_max=None):
+        """Wrap a nonempty 1-D float64 array the solver loop built itself.
+
+        Skips the O(n) validation; the extremes (given, or two reductions the
+        trace needs anyway) are checked in O(1) instead.  A NaN entry makes
+        both NaN, so every bad diagonal fails the test and raises
+        NumericalError rather than ValueError.
+        """
+        metric = object.__new__(DiagonalMetric)
+        metric.diag = diag
+        metric.u_min = float(diag.min()) if u_min is None else u_min
+        metric.u_max = float(diag.max()) if u_max is None else u_max
+        if not (metric.u_min >= METRIC_FLOOR and math.isfinite(metric.u_max)):
+            raise NumericalError("non-finite metric diagonal")
+        return metric
+
+    @classmethod
+    def _trusted_uniform(cls, dim, value):
+        """Trusted value * I for a float value the loop computed."""
+        return cls._trusted(np.full(dim, value), value, value)
+
+    def _scaled(self, factor):
+        """Trusted factor * U for factor > 1 (line-search rescaling).
+
+        Rounding is monotone, so the extremes scale exactly and only the new
+        u_max needs a check.
+        """
+        return DiagonalMetric._trusted(
+            self.diag * factor, self.u_min * factor, self.u_max * factor
+        )
 
     @classmethod
     def identity(cls, dim):
@@ -76,35 +124,27 @@ class DiagonalMetric:
 
     def norm(self, z):
         """||z||_U = sqrt(z' U z)."""
-        return float(np.sqrt(np.dot(self.diag * z, z)))
+        return math.sqrt(np.dot(self.diag * z, z))
 
     def inner(self, a, b):
         return float(np.dot(self.diag * a, b))
 
     def scaled(self, factor):
-        """A new metric factor * U (used by line-search rescaling)."""
+        """A new, validated metric factor * U."""
         return DiagonalMetric(self.diag * factor)
-
-    @property
-    def u_min(self):
-        return float(self.diag.min())
-
-    @property
-    def u_max(self):
-        return float(self.diag.max())
 
     def __repr__(self):
         return f"DiagonalMetric(dim={self.dim}, u_min={self.u_min:g}, u_max={self.u_max:g})"
 
 
-class BlockDiagonalMetric:
+class BlockDiagonalMetric(DiagonalMetric):
     """Concatenation of per-block diagonal metrics.
 
     Behaves exactly like the DiagonalMetric over the stacked space; the block
     structure is retained for per-block access (consensus, separable proxes).
     """
 
-    __slots__ = ("blocks", "diag", "offsets")
+    __slots__ = ("blocks", "offsets")
 
     def __init__(self, blocks):
         if not blocks:
@@ -112,13 +152,9 @@ class BlockDiagonalMetric:
         self.blocks = [
             b if isinstance(b, DiagonalMetric) else DiagonalMetric(b) for b in blocks
         ]
-        self.diag = np.concatenate([b.diag for b in self.blocks])
+        super().__init__(np.concatenate([b.diag for b in self.blocks]))
         sizes = [b.dim for b in self.blocks]
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    @property
-    def dim(self):
-        return self.diag.shape[0]
 
     @property
     def n_blocks(self):
@@ -127,28 +163,8 @@ class BlockDiagonalMetric:
     def block_slice(self, j):
         return slice(int(self.offsets[j]), int(self.offsets[j + 1]))
 
-    def apply(self, z):
-        return self.diag * z
-
-    def apply_inverse(self, z):
-        return z / self.diag
-
-    def norm(self, z):
-        return float(np.sqrt(np.dot(self.diag * z, z)))
-
-    def inner(self, a, b):
-        return float(np.dot(self.diag * a, b))
-
     def scaled(self, factor):
         return BlockDiagonalMetric([b.scaled(factor) for b in self.blocks])
-
-    @property
-    def u_min(self):
-        return float(self.diag.min())
-
-    @property
-    def u_max(self):
-        return float(self.diag.max())
 
     def __repr__(self):
         return f"BlockDiagonalMetric(blocks={self.n_blocks}, dim={self.dim})"

@@ -13,7 +13,6 @@ trusting them.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import DiagonalMetric, ProxRegularizer
 
@@ -44,7 +43,7 @@ class Lasso(ProxRegularizer):
         self.lam = float(lam)
 
     def value(self, x):
-        return self.lam * float(np.sum(np.abs(x)))
+        return self.lam * float(np.abs(x).sum())
 
     def prox(self, v, metric):
         thr = self.lam / metric.diag
@@ -123,7 +122,7 @@ class Nonnegative(ProxRegularizer):
     separable = True
 
     def value(self, x):
-        return 0.0 if np.all(np.asarray(x) >= 0) else np.inf
+        return 0.0 if (np.asarray(x) >= 0).all() else np.inf
 
     def prox(self, v, metric):
         return np.maximum(v, 0.0)
@@ -420,6 +419,10 @@ class BlockSeparable(ProxRegularizer):
 
 
 def _brent(fun, lo, hi):
+    # imported here: only the test oracle needs scipy.optimize, so importing
+    # vmpg (and starting the CLI) does not load it
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         fun, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13, "maxiter": 2000}
     )

@@ -10,14 +10,20 @@ diagonal BB subproblem (``vmpg-dbb``), or is held fixed (``pg-fixed``).
 Steps are accepted under a nonmonotone sufficient-decrease test and the
 metric is rescaled by beta until acceptance.  ``fista`` provides the usual
 accelerated baseline with the same trace schema.
+
+``solve`` and ``solve_consensus`` validate their inputs once, at the
+boundary; inside the loop, step pairs and metrics are built without O(n)
+validation and guarded by O(1) checks on scalars the loop computes anyway.
+A NaN that one of them catches ends the run with ``NUMERICAL_FAILURE``.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiagonalMetric, as_vector
+from .core import DiagonalMetric, NumericalError, as_vector
 from .stepsize import BBConfig, StepPair, StepsizeState, diagonal_bb, hybrid_bb
 
 METHODS = ("vmpg-dbb", "pg-bb", "pg-fixed", "fista")
@@ -27,6 +33,7 @@ STOP_RULES = ("forward-step", "grad-map")
 CONVERGED = "converged"
 MAX_ITER = "max-iter"
 LINE_SEARCH_FAILURE = "line-search-failure"
+NUMERICAL_FAILURE = "numerical-failure"
 
 
 @dataclass
@@ -109,16 +116,26 @@ class LineSearchError(RuntimeError):
     """Backtracking exhausted max_backtracks without sufficient decrease."""
 
     def __init__(self, iteration, backtracks, candidate_value, reference, u_max):
+        super().__init__(iteration, backtracks, candidate_value, reference, u_max)
         self.iteration = iteration
         self.backtracks = backtracks
         self.candidate_value = candidate_value
         self.reference = reference
         self.u_max = u_max
-        super().__init__(
-            f"line search stalled at iteration {iteration}: "
-            f"{backtracks} backtracks, candidate objective {candidate_value:.6g} "
-            f"vs reference {reference:.6g}, u_max {u_max:.3g}"
+
+    def __str__(self):
+        # built on demand: the iteration is stamped after construction
+        return (
+            f"line search stalled at iteration {self.iteration}: "
+            f"{self.backtracks} backtracks, candidate objective "
+            f"{self.candidate_value:.6g} vs reference {self.reference:.6g}, "
+            f"u_max {self.u_max:.3g}"
         )
+
+
+def _norm(v):
+    """||v||_2 of a 1-D float vector, bit for bit what np.linalg.norm returns."""
+    return math.sqrt(float(np.dot(v, v)))
 
 
 def composite_value(f, g, x):
@@ -143,7 +160,9 @@ def line_search(f, g, x, grad, metric, f_ref, config):
 
     Accepts x_new once F(x_new) <= f_ref - (1/2) ||x_new - x||_U^2, rescaling
     U by beta on each rejection.  With line search off (f_ref None) the first
-    candidate is returned unconditionally.
+    candidate is returned unconditionally.  F(x_new) = +inf is rejected like
+    any other value; a NaN raises NumericalError, as does a rescaled metric
+    that overflows.
 
     Returns (x_new, forward_point, metric, backtracks, F(x_new)).
     """
@@ -151,6 +170,8 @@ def line_search(f, g, x, grad, metric, f_ref, config):
     while True:
         x_new, y = proximal_step(f, g, x, grad, metric)
         f_new = composite_value(f, g, x_new)
+        if math.isnan(f_new):
+            raise NumericalError("NaN objective at the candidate point")
         if f_ref is None:
             return x_new, y, metric, backtracks, f_new
         decrease = 0.5 * metric.norm(x_new - x) ** 2
@@ -164,7 +185,7 @@ def line_search(f, g, x, grad, metric, f_ref, config):
                 reference=f_ref - decrease,
                 u_max=metric.u_max,
             )
-        metric = metric.scaled(config.beta)
+        metric = metric._scaled(config.beta)
         backtracks += 1
 
 
@@ -196,7 +217,8 @@ def _advance(f, g, state, metric, alpha, f_ref, config):
     memory is (alpha, accepted metric).  The warm-up, vmpg-dbb, pg-bb,
     pg-fixed and every consensus mode differ only in how they choose metric,
     alpha and f_ref before this call.
-    Raises LineSearchError, stamped with the index k, after max_backtracks.
+    Raises LineSearchError, stamped with the index k, after max_backtracks,
+    and NumericalError as line_search does.
     """
     t0 = time.perf_counter()
     try:
@@ -212,7 +234,7 @@ def _advance(f, g, state, metric, alpha, f_ref, config):
     record = TraceRecord(
         iter=state.iteration,
         objective=f_new,
-        grad_map_norm=float(np.sqrt(np.dot(mapping**2, 1.0 / metric.diag))),
+        grad_map_norm=math.sqrt(np.dot(mapping**2, 1.0 / metric.diag)),
         step_norm_u=metric.norm(diff),
         backtracks=backtracks,
         u_min=metric.u_min,
@@ -242,21 +264,27 @@ def vmpg_step(f, g, state, config):
 
     The metric is chosen by the configured rule from the step pair
     (x^k - x^{k-1}, grad change), then backtracked until the nonmonotone
-    criterion accepts.  Raises LineSearchError after max_backtracks.
+    criterion accepts.  Raises LineSearchError after max_backtracks and
+    NumericalError when the step pair or a candidate objective is NaN.
     """
-    pair = StepPair(state.x - state.x_prev, state.grad - state.grad_prev)
-    bb_cfg = config.bb_config()
+    return _step(f, g, state, config, config.bb_config())
+
+
+def _step(f, g, state, config, bb_config):
+    """vmpg_step with the BB settings built once by the caller."""
     ss = state.stepsize_state
     alpha = ss.prev_alpha
-    if config.method == "vmpg-dbb":
-        metric = diagonal_bb(pair, bb_cfg, ss)
-    elif config.method == "pg-bb":
-        alpha = hybrid_bb(pair, bb_cfg, ss)
-        metric = DiagonalMetric.uniform(state.x.shape[0], 1.0 / alpha)
-    elif config.method == "pg-fixed":
+    if config.method == "pg-fixed":
         metric = DiagonalMetric.uniform(
             state.x.shape[0], 1.0 / _resolve_fixed_stepsize(f, config)
         )
+    elif config.method in ("vmpg-dbb", "pg-bb"):
+        pair = StepPair._trusted(state.x - state.x_prev, state.grad - state.grad_prev)
+        if config.method == "vmpg-dbb":
+            metric = diagonal_bb(pair, bb_config, ss)
+        else:
+            alpha = hybrid_bb(pair, bb_config, ss)
+            metric = DiagonalMetric._trusted_uniform(state.x.shape[0], 1.0 / alpha)
     else:
         raise ValueError(f"vmpg_step does not drive method {config.method!r}")
     return _advance(f, g, state, metric, alpha, _reference_value(state, config), config)
@@ -267,14 +295,23 @@ def warmup_step(f, g, x0, config):
 
     Uses alpha0 = min(1, 1 / ||grad f(x^0)||) and a monotone acceptance test
     against F(x^0); the BB rules take over from the resulting step pair,
-    starting from the identity metric rather than the warm-up one.
+    starting from the identity metric rather than the warm-up one.  Raises
+    NumericalError when ||grad f(x^0)|| is not finite or F(x^0) is NaN.
     """
-    x0 = as_vector(x0, dim=f.dim, name="x0")
+    return _warmup(f, g, as_vector(x0, dim=f.dim, name="x0"), config)
+
+
+def _warmup(f, g, x0, config):
+    """warmup_step from an x0 validated by the caller."""
     grad0 = f.gradient(x0)
-    gnorm = float(np.linalg.norm(grad0))
+    gnorm = _norm(grad0)
+    if not math.isfinite(gnorm):
+        raise NumericalError("non-finite gradient norm at x0")
     alpha0 = min(1.0, 1.0 / gnorm) if gnorm > 0 else 1.0
-    metric = DiagonalMetric.uniform(x0.shape[0], 1.0 / alpha0)
+    metric = DiagonalMetric._trusted_uniform(x0.shape[0], 1.0 / alpha0)
     f_ref = None if config.line_search == "off" else composite_value(f, g, x0)
+    if f_ref is not None and math.isnan(f_ref):
+        raise NumericalError("NaN objective at x0")
     start = SolverState(
         x=x0,
         x_prev=x0,
@@ -294,24 +331,27 @@ def warmup_step(f, g, x0, config):
 
 def _stopped(state, prev_forward, config):
     if config.stop_rule == "forward-step":
-        return float(np.linalg.norm(state.forward - prev_forward)) <= config.eps_tol
+        return _norm(state.forward - prev_forward) <= config.eps_tol
     mapping = state.metric.apply(state.x_prev - state.x)
-    rel = float(np.linalg.norm(mapping)) / max(1.0, float(np.linalg.norm(state.x)))
-    return rel <= config.eps_tol
+    return _norm(mapping) / max(1.0, _norm(state.x)) <= config.eps_tol
+
+
+def _failure(err):
+    return LINE_SEARCH_FAILURE if isinstance(err, LineSearchError) else NUMERICAL_FAILURE
 
 
 def _iterate(f, g, x0, config, step):
     """Warm up, then state = step(state) until the stop rule holds or max_iter.
 
-    Each record's wall_ms is the time since the start of the run.  Returns
-    (x, F(x), trace, status); a warm-up whose line search fails returns x0.
+    x0 is validated by the caller.  Each record's wall_ms is the time since
+    the start of the run.  Returns (x, F(x), trace, status); a failed
+    iteration returns the last accepted iterate, x0 if the warm-up failed.
     """
     t0 = time.perf_counter()
     try:
-        state, record = warmup_step(f, g, x0, config)
-    except LineSearchError:
-        x0 = as_vector(x0, dim=f.dim, name="x0")
-        return x0, composite_value(f, g, x0), [], LINE_SEARCH_FAILURE
+        state, record = _warmup(f, g, x0, config)
+    except (LineSearchError, NumericalError) as err:
+        return x0, composite_value(f, g, x0), [], _failure(err)
     record.wall_ms = (time.perf_counter() - t0) * 1e3
     trace = [record]
     status = MAX_ITER
@@ -319,8 +359,8 @@ def _iterate(f, g, x0, config, step):
         prev_forward = state.forward
         try:
             state, record = step(state)
-        except LineSearchError:
-            status = LINE_SEARCH_FAILURE
+        except (LineSearchError, NumericalError) as err:
+            status = _failure(err)
             break
         record.wall_ms = (time.perf_counter() - t0) * 1e3
         trace.append(record)
@@ -348,8 +388,10 @@ def solve(f, g, x0, config=None):
     config = config or SolverConfig()
     if config.method == "fista":
         return fista(f, g, x0, stepsize=config.fixed_stepsize, config=config)
+    x0 = as_vector(x0, dim=f.dim, name="x0")
+    bb_config = config.bb_config()
     x, f_x, trace, status = _iterate(
-        f, g, x0, config, lambda state: vmpg_step(f, g, state, config)
+        f, g, x0, config, lambda state: _step(f, g, state, config, bb_config)
     )
     return SolveResult(
         x=x, status=status, trace=trace, iterations=len(trace), final_objective=f_x
@@ -361,7 +403,8 @@ def fista(f, g, x0, stepsize=None, config=None):
 
     The stepsize must satisfy alpha <= 1/L unless backtracking is active
     (any line_search mode except "off"), in which case alpha shrinks under
-    the standard quadratic upper-bound test.
+    the standard quadratic upper-bound test.  A NaN objective ends the run
+    with NUMERICAL_FAILURE at the last accepted iterate.
     """
     config = config or SolverConfig(method="fista")
     x0 = as_vector(x0, dim=f.dim, name="x0")
@@ -374,6 +417,7 @@ def fista(f, g, x0, stepsize=None, config=None):
             raise ValueError("fista needs a stepsize or an objective exposing L")
     else:
         alpha = float(stepsize)
+    metric = DiagonalMetric.uniform(x0.shape[0], 1.0 / alpha)
     t0 = time.perf_counter()
     backtrack = config.line_search != "off"
     x_prev = x0
@@ -383,57 +427,67 @@ def fista(f, g, x0, stepsize=None, config=None):
     trace = []
     status = MAX_ITER
     final_x = x0
-    while len(trace) < config.max_iter:
-        grad_z = f.gradient(z)
-        f_z = f.value(z)
-        backtracks = 0
-        failed = False
-        while True:
-            w = z - alpha * grad_z
-            metric = DiagonalMetric.uniform(x0.shape[0], 1.0 / alpha)
-            x = g.prox(w, metric)
-            if not backtrack:
-                break
-            diff = x - z
-            bound = f_z + float(np.dot(grad_z, diff)) + np.dot(diff, diff) / (2 * alpha)
-            if f.value(x) <= bound:
-                break
-            if backtracks >= config.max_backtracks:
-                failed = True
-                break
-            alpha /= config.beta
-            backtracks += 1
-        if failed:
-            status = LINE_SEARCH_FAILURE
-            break
-        grad_map = float(np.linalg.norm(z - x)) / np.sqrt(alpha)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-        z = x + ((t_momentum - 1.0) / t_next) * (x - x_prev)
-        obj = composite_value(f, g, x)
-        trace.append(
-            TraceRecord(
-                iter=len(trace),
-                objective=obj,
-                grad_map_norm=grad_map,
-                step_norm_u=float(np.linalg.norm(x - x_prev)) / np.sqrt(alpha),
-                backtracks=backtracks,
-                u_min=1.0 / alpha,
-                u_max=1.0 / alpha,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
+    try:
+        while len(trace) < config.max_iter:
+            grad_z = f.gradient(z)
+            if backtrack:
+                f_z = f.value(z)
+                if math.isnan(f_z):
+                    raise NumericalError("NaN objective at the extrapolated point")
+            backtracks = 0
+            while True:
+                w = z - alpha * grad_z
+                x = g.prox(w, metric)
+                if not backtrack:
+                    obj = composite_value(f, g, x)
+                    break
+                diff = x - z
+                bound = f_z + float(np.dot(grad_z, diff)) + np.dot(diff, diff) / (2 * alpha)
+                f_x = f.value(x)  # reused in the objective below
+                if math.isnan(f_x):
+                    raise NumericalError("NaN objective at the candidate point")
+                if f_x <= bound:
+                    obj = f_x + g.value(x)
+                    break
+                if backtracks >= config.max_backtracks:
+                    raise LineSearchError(
+                        len(trace), backtracks, f_x, bound, metric.u_max
+                    )
+                alpha /= config.beta
+                u = 1.0 / alpha if alpha > 0.0 else math.inf  # alpha may underflow
+                metric = DiagonalMetric._trusted_uniform(x0.shape[0], u)
+                backtracks += 1
+            if math.isnan(obj):
+                raise NumericalError("NaN objective at the candidate point")
+            grad_map = _norm(z - x) / math.sqrt(alpha)
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum**2))
+            z = x + ((t_momentum - 1.0) / t_next) * (x - x_prev)
+            trace.append(
+                TraceRecord(
+                    iter=len(trace),
+                    objective=obj,
+                    grad_map_norm=grad_map,
+                    step_norm_u=_norm(x - x_prev) / math.sqrt(alpha),
+                    backtracks=backtracks,
+                    u_min=1.0 / alpha,
+                    u_max=1.0 / alpha,
+                    wall_ms=(time.perf_counter() - t0) * 1e3,
+                )
             )
-        )
-        final_x = x
-        converged = float(np.linalg.norm(w - w_prev)) <= config.eps_tol
-        x_prev = x
-        t_momentum = t_next
-        w_prev = w
-        if converged:
-            status = CONVERGED
-            break
+            final_x = x
+            converged = _norm(w - w_prev) <= config.eps_tol
+            x_prev = x
+            t_momentum = t_next
+            w_prev = w
+            if converged:
+                status = CONVERGED
+                break
+    except (LineSearchError, NumericalError) as err:
+        status = _failure(err)
     return SolveResult(
         x=final_x,
         status=status,
         trace=trace,
         iterations=len(trace),
-        final_objective=composite_value(f, g, final_x),
+        final_objective=trace[-1].objective if trace else composite_value(f, g, x0),
     )

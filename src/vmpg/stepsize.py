@@ -11,11 +11,12 @@ alpha_bb2 <= alpha_bb1.  ``hybrid_bb`` blends them into a single scalar;
 equation coordinate-wise inside the interval the scalar rules span.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiagonalMetric, as_vector
+from .core import METRIC_FLOOR, DiagonalMetric, NumericalError, as_vector
 
 
 @dataclass
@@ -29,6 +30,18 @@ class StepPair:
         self.s = as_vector(self.s, name="s")
         self.y = as_vector(self.y, dim=self.s.shape[0], name="y")
 
+    @classmethod
+    def _trusted(cls, s, y):
+        """A pair of equal-length 1-D float arrays the solver loop built.
+
+        Skips the O(n) validation; the BB rules check the pair's inner
+        products instead and raise NumericalError on a NaN or Inf entry.
+        """
+        pair = object.__new__(cls)
+        pair.s = s
+        pair.y = y
+        return pair
+
 
 @dataclass
 class BBConfig:
@@ -38,11 +51,18 @@ class BBConfig:
     alpha_max: float = 1e10   # global stepsize safeguard (upper)
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
         if not (0 < self.alpha_min < self.alpha_max):
             raise ValueError("need 0 < alpha_min < alpha_max")
-        if self.delta <= 1:
+        # Every metric the rules build lies in [1/alpha_max, 1/alpha_min], so
+        # bounds with valid reciprocals make each clipped metric valid.
+        if not (1.0 / self.alpha_max >= METRIC_FLOOR
+                and math.isfinite(1.0 / self.alpha_min)):
+            raise ValueError(
+                f"need 1/alpha_max >= {METRIC_FLOOR:g} and a finite 1/alpha_min"
+            )
+        if not self.delta > 1:
             raise ValueError("delta must exceed 1")
 
 
@@ -85,6 +105,35 @@ def bb2(pair):
     return sy / yy
 
 
+def _guard_pair(products, s, y):
+    """Raise NumericalError if the step pair (s, y) has a NaN or Inf entry.
+
+    products is the sum of the pair's inner products s.s, s.y and y.y, which
+    the BB rules compute anyway.  It is finite whenever s and y are, short of
+    overflow, so it stands in for the O(n) finiteness check, which runs only
+    when it is not finite.
+    """
+    if not math.isfinite(products) and not (
+        np.isfinite(s).all() and np.isfinite(y).all()
+    ):
+        raise NumericalError("non-finite step pair")
+
+
+def _bb_values(pair):
+    """(alpha_bb1, alpha_bb2) as bb1 and bb2 give them; None if either is None.
+
+    Raises NumericalError when s or y has a NaN or Inf entry.
+    """
+    s, y = pair.s, pair.y
+    ss = float(np.dot(s, s))
+    sy = float(np.dot(s, y))
+    yy = float(np.dot(y, y))
+    _guard_pair(ss + sy + yy, s, y)
+    if sy <= 0.0 or yy == 0.0:
+        return None
+    return ss / sy, sy / yy
+
+
 def hybrid_bb(pair, config, state):
     """Hybrid scalar BB stepsize.
 
@@ -93,14 +142,12 @@ def hybrid_bb(pair, config, state):
     Degenerate curvature or a nonpositive result falls back to the previous
     stepsize.  The result is clamped to [alpha_min, alpha_max].
     """
-    a1 = bb1(pair)
-    a2 = bb2(pair)
-    if a1 is None or a2 is None:
+    values = _bb_values(pair)
+    if values is None:
         alpha = state.prev_alpha
-    elif a1 < config.delta * a2:
-        alpha = a2
     else:
-        alpha = a1 - a2 / config.delta
+        a1, a2 = values
+        alpha = a2 if a1 < config.delta * a2 else a1 - a2 / config.delta
     if alpha <= 0.0:
         alpha = state.prev_alpha
     return float(min(max(alpha, config.alpha_min), config.alpha_max))
@@ -117,16 +164,17 @@ def diagonal_bb(pair, config, state):
 
     The BB values are safeguarded into [alpha_min, alpha_max] before the
     bounds are formed; degenerate curvature widens the bounds to the full
-    safeguard interval.  Never returns NaN/Inf for finite inputs and mu > 0.
+    safeguard interval.  The clip keeps every entry inside the bounds that
+    BBConfig validated, so the metric is built without a further O(n) check;
+    a NaN (from overflow in s_i y_i or s_i^2) raises NumericalError.
     """
-    a1 = bb1(pair)
-    a2 = bb2(pair)
-    if a1 is None or a2 is None:
+    values = _bb_values(pair)
+    if values is None:
         lo = 1.0 / config.alpha_max
         hi = 1.0 / config.alpha_min
     else:
-        a1 = min(max(a1, config.alpha_min), config.alpha_max)
-        a2 = min(max(a2, config.alpha_min), config.alpha_max)
+        a1 = min(max(values[0], config.alpha_min), config.alpha_max)
+        a2 = min(max(values[1], config.alpha_min), config.alpha_max)
         lo = 1.0 / a1
         hi = 1.0 / a2
         if lo > hi:  # float noise can invert the ordering of eq-close values
@@ -138,4 +186,4 @@ def diagonal_bb(pair, config, state):
             f"step pair has {pair.s.shape[0]}"
         )
     candidates = (pair.s * pair.y + config.mu * u_prev) / (pair.s**2 + config.mu)
-    return DiagonalMetric(np.clip(candidates, lo, hi))
+    return DiagonalMetric._trusted(np.clip(candidates, lo, hi))

@@ -1,6 +1,8 @@
 """End-to-end CLI runs: file layout, headers, determinism, exit codes."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -226,6 +228,21 @@ class TestGenAndSolve:
         assert str(data["kind"]) == "logistic"
         assert data["A"].shape == (40, 6)
 
+    def test_gen_without_an_output_path_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("VMPG_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--kind", "qp", "--n", "5", "--seed", "1"]) == 1
+        assert "--out" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_gen_takes_its_output_path_from_the_environment(self, tmp_path, monkeypatch,
+                                                            capsys):
+        target = str(tmp_path / "env.npz")
+        monkeypatch.setenv("VMPG_OUT_DIR", target)
+        assert main(["gen", "--kind", "qp", "--n", "5", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.strip() == target
+        assert os.path.exists(target)
+
     def test_missing_problem_file_is_usage_error(self, tmp_path):
         code = main([
             "solve", "--problem", str(tmp_path / "nope.npz"),
@@ -293,6 +310,16 @@ class TestConfigAndEnvironment:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--max-iter", "--eps-tol"])
+    def test_zero_solver_limit_is_usage_error(self, tmp_path, capsys, flag):
+        code = main([
+            "solve", "--kind", "qp", "--n", "10", "--kappa", "100",
+            flag, "0", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "invalid solver limits" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as info:
             main(["bench", "--warp", "9"])
@@ -303,3 +330,13 @@ class TestConfigAndEnvironment:
             main(["--version"])
         assert info.value.code == 0
         assert capsys.readouterr().out.strip() == f"vmpg {__version__}"
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    """Only the test-only prox oracle needs scipy.optimize; start-up skips it."""
+    src = os.path.dirname(os.path.dirname(vmpg.cli.__file__))
+    code = "import sys, vmpg.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

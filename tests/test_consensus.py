@@ -187,15 +187,25 @@ def record_bits(rec):
 
 
 def count_metric_builds(monkeypatch):
-    """Patch DiagonalMetric.__init__ to count calls; returns the counter list."""
+    """Count metric builds through both constructors; returns the counter list.
+
+    The validating DiagonalMetric.__init__ and the solver loop's trusted
+    DiagonalMetric._trusted are patched; neither calls the other.
+    """
     calls = []
     init = DiagonalMetric.__init__
+    trusted = DiagonalMetric._trusted
 
     def counting(self, diag):
         calls.append(1)
         init(self, diag)
 
+    def counting_trusted(cls, *args):
+        calls.append(1)
+        return trusted(*args)
+
     monkeypatch.setattr(DiagonalMetric, "__init__", counting)
+    monkeypatch.setattr(DiagonalMetric, "_trusted", classmethod(counting_trusted))
     return calls
 
 

@@ -181,6 +181,13 @@ class TestSolve:
             warmup_step(f, Zero(), np.array([1e-4]), config)
         assert info.value.iteration == 0
 
+    def test_line_search_error_message_names_the_stamped_iteration(self):
+        f = quadratic([1e6], q=[0.0])
+        config = SolverConfig(line_search="monotone", max_backtracks=0)
+        with pytest.raises(LineSearchError) as info:
+            warmup_step(f, Zero(), np.array([1e-4]), config)
+        assert "line search stalled at iteration 0:" in str(info.value)
+
     def test_warm_up_hands_the_bb_rules_an_identity_memory(self):
         """The BB rules start from the identity, not from the warm-up metric."""
         f = quadratic([1.0, 4.0, 9.0], q=[1.0, -2.0, 3.0])
