@@ -31,7 +31,7 @@ from .solver import (
     line_search,
 )
 from .stepsize import StepPair, _guard_pair, diagonal_bb, hybrid_bb
-from .problems import LeastSquaresObjective, LogisticObjective, RegressionProblem
+from .problems import LogisticObjective, RegressionProblem, _least_squares
 
 MODES = ("local-bb", "local-dbb", "global-bb", "global-dbb")
 
@@ -127,7 +127,7 @@ def split_regression(problem, n_nodes, ridge):
     for size in sizes:
         rows = slice(offset, offset + size)
         if problem.loss == "ls":
-            f = LeastSquaresObjective(
+            f = _least_squares(
                 problem.A[rows], problem.b[rows], scale=1.0 / n_total, ridge=ridge
             )
         else:

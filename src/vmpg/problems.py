@@ -41,8 +41,29 @@ def power_iteration(matvec, dim, max_iter=5000, tol=1e-12):
     return lam
 
 
-class QuadraticObjective(SmoothObjective):
-    """f(x) = (1/2) x'Qx + q'x + p with symmetric Q."""
+class _PointMemo(SmoothObjective):
+    """One-entry memo of ``_image_of(x)`` for the last point x seen.
+
+    ``value`` and ``gradient`` at the same point then share one product with
+    the objective's matrix, in either order.  The memo is keyed by the dtype,
+    shape and bytes of x, never by its identity: a point changed in place is
+    recomputed.  The matrix and vectors of the objective must not change in
+    place after construction.
+    """
+
+    _image_key = None
+    _image_value = None
+
+    def _image(self, x):
+        key = (x.dtype, x.shape, x.tobytes())
+        if key != self._image_key:
+            self._image_value = self._image_of(x)
+            self._image_key = key
+        return self._image_value
+
+
+class QuadraticObjective(_PointMemo):
+    """f(x) = (1/2) x'Qx + q'x + p with symmetric Q; value and gradient share Q @ x."""
 
     def __init__(self, Q, q, p=0.0, strong_convexity=None, smoothness=None):
         self.Q = np.asarray(Q, dtype=float)
@@ -56,11 +77,14 @@ class QuadraticObjective(SmoothObjective):
     def dim(self):
         return self.q.shape[0]
 
+    def _image_of(self, x):
+        return self.Q @ x
+
     def value(self, x):
-        return 0.5 * float(x @ self.Q @ x) + float(self.q @ x) + self.p
+        return 0.5 * float(x @ self._image(x)) + float(self.q @ x) + self.p
 
     def gradient(self, x):
-        return self.Q @ x + self.q
+        return self._image(x) + self.q
 
     @property
     def minimizer(self):
@@ -73,15 +97,11 @@ class QuadraticObjective(SmoothObjective):
         return self.value(self.minimizer)
 
 
-class _AffineLoss(SmoothObjective):
+class _AffineLoss(_PointMemo):
     """scale * loss(A x; b) + ridge * ||x||^2 over a fixed design matrix A.
 
-    ``_image(x)`` keeps the affine image of the last point (the residual for
-    least squares, the margins for logistic), so ``value`` and ``gradient``
-    at the same point share one product A @ x, in either order.  The memo is
-    keyed by the dtype, shape and bytes of x, never by its identity: a point
-    changed in place is recomputed.  A and b must not change in place after
-    construction.
+    The memoized image is the residual for least squares and the margins for
+    logistic, so ``value`` and ``gradient`` share one product A @ x.
     """
 
     def __init__(self, A, b, scale=None, ridge=0.0):
@@ -91,19 +111,10 @@ class _AffineLoss(SmoothObjective):
         self.ridge = float(ridge)
         if ridge > 0:
             self.strong_convexity = 2.0 * ridge
-        self._image_key = None
-        self._image_value = None
 
     @property
     def dim(self):
         return self.A.shape[1]
-
-    def _image(self, x):
-        key = (x.dtype, x.shape, x.tobytes())
-        if key != self._image_key:
-            self._image_value = self._affine_image(x)
-            self._image_key = key
-        return self._image_value
 
 
 class LeastSquaresObjective(_AffineLoss):
@@ -111,7 +122,7 @@ class LeastSquaresObjective(_AffineLoss):
 
     _smoothness = None
 
-    def _affine_image(self, x):
+    def _image_of(self, x):
         return self.A @ x - self.b
 
     def value(self, x):
@@ -134,6 +145,42 @@ class LeastSquaresObjective(_AffineLoss):
         return self._smoothness
 
 
+# A tall design of at least this many entries (1 MiB of float64) is solved in
+# its Gram form; the README records the timings behind the constant.
+_GRAM_MIN_SIZE = 2**17
+
+
+def _least_squares(A, b, scale=None, ridge=0.0):
+    """scale * ||Ax - b||^2 + ridge * ||x||^2 in the cheaper of two exact forms.
+
+    A tall design (N >= n) with at least _GRAM_MIN_SIZE entries gives the
+    quadratic (1/2) x'Qx + q'x + p with Q = 2(scale A'A + ridge I),
+    q = -2 scale A'b and p = scale b'b: one n x n product per value/gradient
+    pair instead of two N x n products, for n^2 more floats.  Its value has
+    an absolute rounding error of about eps * scale * ||b||^2, so near a zero
+    residual it can dip just below 0.  Any other design keeps the residual
+    form, LeastSquaresObjective.
+    """
+    A = np.asarray(A, dtype=float)
+    n_rows, n_cols = A.shape
+    if n_rows < n_cols or A.size < _GRAM_MIN_SIZE:
+        return LeastSquaresObjective(A, b, scale=scale, ridge=ridge)
+    b = np.asarray(b, dtype=float)
+    scale = 1.0 / n_rows if scale is None else float(scale)
+    Q = A.T @ A
+    Q *= 2.0 * scale
+    Q.flat[:: n_cols + 1] += 2.0 * ridge
+    q = A.T @ b
+    q *= -2.0 * scale
+    return QuadraticObjective(
+        Q,
+        q,
+        scale * float(b @ b),
+        strong_convexity=2.0 * ridge if ridge > 0 else None,
+        smoothness=power_iteration(lambda v: Q @ v, n_cols),
+    )
+
+
 class LogisticObjective(_AffineLoss):
     """f(x) = scale * sum_i log(1 + exp(-b_i a_i'x)) + ridge * ||x||^2.
 
@@ -146,7 +193,7 @@ class LogisticObjective(_AffineLoss):
         if not np.all(np.isin(self.b, (-1.0, 1.0))):
             raise ValueError("logistic labels must be -1 or +1")
 
-    def _affine_image(self, x):
+    def _image_of(self, x):
         return self.b * (self.A @ x)
 
     def value(self, x):
@@ -324,7 +371,7 @@ def smooth_part(problem):
         )
     if isinstance(problem, RegressionProblem):
         if problem.loss == "ls":
-            return LeastSquaresObjective(problem.A, problem.b)
+            return _least_squares(problem.A, problem.b)
         return LogisticObjective(problem.A, problem.b)
     raise TypeError(f"unknown problem type {type(problem).__name__}")
 

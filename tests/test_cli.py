@@ -174,25 +174,31 @@ class TestConsensusCommand:
 
     def test_single_node_matches_pooled_bench(self, tmp_path):
         """One consensus node with no coupling penalty is the plain solver."""
-        shared = [
-            "--kind", "ls", "--n", "10", "--n-samples", "100",
-            "--seed", "3", "--mu", "1e-6", "--timing", "none",
-        ]
-        cons_out = str(tmp_path / "cons")
-        bench_out = str(tmp_path / "bench")
-        assert main([
-            "consensus", *shared, "--nodes", "1", "--ridge", "0",
-            "--mode", "local-dbb", "--out", cons_out,
-        ]) == 0
-        assert main([
-            "bench", *shared, "--reg", "none", "--method", "vmpg-dbb",
-            "--out", bench_out,
-        ]) == 0
-        _, cons_rows = data_rows(os.path.join(cons_out, "trace_local-dbb_3.csv"))
-        _, bench_rows = data_rows(os.path.join(bench_out, "trace_vmpg-dbb_3.csv"))
-        assert len(cons_rows) == len(bench_rows)
-        for c, b in zip(cons_rows, bench_rows):
-            assert c[:8] == b
+        # the second shape is tall and large, so both commands use the Gram
+        # form; it is cut at --max-iter, which exits with code 2
+        for size, code in (
+            (["--n", "10", "--n-samples", "100"], 0),
+            (["--n", "64", "--n-samples", "2048", "--max-iter", "40"], 2),
+        ):
+            shared = [
+                "--kind", "ls", *size,
+                "--seed", "3", "--mu", "1e-6", "--timing", "none",
+            ]
+            cons_out = str(tmp_path / size[1] / "cons")
+            bench_out = str(tmp_path / size[1] / "bench")
+            assert main([
+                "consensus", *shared, "--nodes", "1", "--ridge", "0",
+                "--mode", "local-dbb", "--out", cons_out,
+            ]) == code
+            assert main([
+                "bench", *shared, "--reg", "none", "--method", "vmpg-dbb",
+                "--out", bench_out,
+            ]) == code
+            _, cons_rows = data_rows(os.path.join(cons_out, "trace_local-dbb_3.csv"))
+            _, bench_rows = data_rows(os.path.join(bench_out, "trace_vmpg-dbb_3.csv"))
+            assert len(cons_rows) == len(bench_rows)
+            for c, b in zip(cons_rows, bench_rows):
+                assert c[:8] == b
 
 
 class TestGenAndSolve:

@@ -19,9 +19,10 @@ from vmpg.problems import (
     load_csv,
     power_iteration,
     precondition,
+    _least_squares,
     smooth_part,
 )
-from vmpg.prox import Lasso
+from vmpg.prox import Lasso, Nonnegative
 from vmpg.solver import SolverConfig, solve
 
 
@@ -418,6 +419,106 @@ class TestSharedAffineImage:
             assert a == b
 
 
+class ReferenceQuadratic(SmoothObjective):
+    """Memo-free quadratic: Q @ x is recomputed by every call."""
+
+    def __init__(self, Q, q, p=0.0):
+        self.Q, self.q, self.p = Q, q, p
+
+    @property
+    def dim(self):
+        return self.q.shape[0]
+
+    def value(self, x):
+        return 0.5 * float(x @ (self.Q @ x)) + float(self.q @ x) + self.p
+
+    def gradient(self, x):
+        return self.Q @ x + self.q
+
+
+def quadratic_pair(kind, seed=41):
+    """A QuadraticObjective and its memo-free reference: a QP, or a Gram-form LS."""
+    if kind == "qp":
+        prob = generate_qp(n=100, kappa=1e4, seed=seed)
+        f = QuadraticObjective(prob.Q, prob.q, prob.p, smoothness=prob.smoothness)
+    else:
+        f = smooth_part(generate_regression(n_samples=2048, dim=64, loss="ls", seed=seed))
+        assert isinstance(f, QuadraticObjective)
+    return f, ReferenceQuadratic(f.Q, f.q, f.p)
+
+
+@pytest.mark.parametrize("kind", ["qp", "gram-ls"])
+class TestSharedQuadraticImage:
+    """value and gradient share Q @ x yet match the memo-free formulas bit for bit."""
+
+    check = TestSharedAffineImage.check
+
+    def test_value_then_gradient_and_gradient_then_value(self, kind):
+        f, ref = quadratic_pair(kind)
+        rng = np.random.default_rng(42)
+        self.check(f, ref, rng.standard_normal(f.dim), ("value", "gradient"))
+        self.check(f, ref, rng.standard_normal(f.dim), ("gradient", "value"))
+        self.check(f, ref, rng.standard_normal(f.dim), ("gradient", "gradient", "value"))
+
+    def test_alternating_points(self, kind):
+        f, ref = quadratic_pair(kind)
+        rng = np.random.default_rng(43)
+        x1, x2 = rng.standard_normal(f.dim), rng.standard_normal(f.dim)
+        for x in (x1, x2, x1, x2, x2, x1):
+            self.check(f, ref, x, ("value", "gradient"))
+        for x in (x1, x2, x1):
+            self.check(f, ref, x, ("gradient", "value"))
+
+    def test_point_changed_in_place(self, kind):
+        f, ref = quadratic_pair(kind)
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal(f.dim)
+        f.value(x)
+        x[...] = rng.standard_normal(f.dim)
+        self.check(f, ref, x, ("gradient", "value"))
+        x[3] += 1.0
+        self.check(f, ref, x, ("value", "gradient"))
+        x[...] = -0.0
+        f.gradient(x)
+        x[...] = 0.0  # equal to -0.0 by value, not by bits
+        self.check(f, ref, x, ("value", "gradient"))
+
+    def test_views_of_a_stacked_vector(self, kind):
+        f, ref = quadratic_pair(kind)
+        rng = np.random.default_rng(45)
+        xb = rng.standard_normal(3 * f.dim).reshape(3, f.dim)
+        for j in (0, 1, 2, 1):
+            self.check(f, ref, xb[j], ("value", "gradient"))
+        strided = np.asfortranarray(xb)  # each row is a view with stride 3
+        for j in (2, 0):
+            self.check(f, ref, strided[j], ("gradient", "value"))
+
+    def test_point_with_nan(self, kind):
+        f, ref = quadratic_pair(kind)
+        x = np.random.default_rng(46).standard_normal(f.dim)
+        x[4] = np.nan
+        with np.errstate(invalid="ignore"):
+            self.check(f, ref, x, ("value", "gradient", "value"))
+            assert np.isnan(f.value(x))
+
+    @pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb", "fista"])
+    def test_solve_traces_match_the_reference(self, kind, method):
+        f, ref = quadratic_pair(kind, seed=47)
+        ref.smoothness = f.smoothness
+        g = Nonnegative() if kind == "qp" else Lasso(0.01)
+        config = SolverConfig(method=method, eps_tol=1e-8, max_iter=300)
+        got = solve(f, g, np.zeros(f.dim), config)
+        want = solve(ref, g, np.zeros(f.dim), config)
+        assert got.iterations == want.iterations > 5
+        assert got.status == want.status
+        assert same_bits(got.x, want.x)
+        assert same_bits(got.final_objective, want.final_objective)
+        for a, b in zip(got.trace, want.trace):
+            a, b = dataclasses.asdict(a), dataclasses.asdict(b)
+            del a["wall_ms"], b["wall_ms"]
+            assert a == b
+
+
 class CountingMatrix(np.ndarray):
     """A view of a matrix that counts its products M @ v; M.T shares the count."""
 
@@ -429,11 +530,12 @@ class CountingMatrix(np.ndarray):
         return np.asarray(self) @ other
 
 
-def count_products(f):
-    """Swap f.A for a counting view; returns the one-element count list."""
-    f.A = f.A.view(CountingMatrix)
-    f.A.count = [0]
-    return f.A.count
+def count_products(f, attr="A"):
+    """Swap f.A (or f.Q) for a counting view; returns the one-element count list."""
+    matrix = getattr(f, attr).view(CountingMatrix)
+    matrix.count = [0]
+    setattr(f, attr, matrix)
+    return matrix.count
 
 
 def two_application_power_iteration(matvec, dim, max_iter=5000, tol=1e-12):
@@ -522,3 +624,153 @@ class TestOperatorApplications:
         count = count_products(f)
         assert same_bits(f.smoothness, 2.0 * f.scale * lam + 0.2)
         assert count[0] == 2 * (iterations + 1)
+
+
+@pytest.mark.parametrize("kind", ["qp", "gram-ls"])
+class TestQuadraticProducts:
+    """A quadratic applies Q once per candidate point: value and gradient share it."""
+
+    @pytest.mark.parametrize("line_search", ["nonmonotone", "monotone"])
+    @pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb"])
+    def test_variable_metric_methods_use_one_product_per_iteration(
+        self, kind, method, line_search
+    ):
+        f, _ = quadratic_pair(kind, seed=29)
+        g = Nonnegative() if kind == "qp" else Lasso(0.01)
+        count = count_products(f, "Q")
+        points = []  # (kind, bits) of every value/gradient call, in order
+        for call in ("value", "gradient"):
+            def logged(x, _call=call, _inner=getattr(f, call)):
+                points.append((_call, x.tobytes()))
+                return _inner(x)
+            setattr(f, call, logged)
+        config = SolverConfig(
+            method=method, eps_tol=1e-8, max_iter=300, line_search=line_search
+        )
+        result = solve(f, g, np.zeros(f.dim), config)
+        if line_search == "monotone":
+            assert sum(r.backtracks for r in result.trace) > 0
+        # grad(x0) = 1 and F(x0) = 1, then per accepted iteration one product
+        # per candidate; the gradient at the accepted point reuses its
+        # candidate's product.  A value at the point evaluated just before it
+        # costs nothing: F(x0) always, and near the optimum a candidate that
+        # repeats the previous point bit for bit.
+        repeats = sum(
+            call == "value" and bits == prev
+            for (call, bits), (_, prev) in zip(points[1:], points[:-1])
+        )
+        assert result.iterations > 5
+        assert 1 <= repeats <= 3
+        assert count[0] == 2 + sum(1 + r.backtracks for r in result.trace) - repeats
+
+    def test_fista_uses_at_most_two_products_per_iteration(self, kind):
+        f, _ = quadratic_pair(kind, seed=30)
+        g = Nonnegative() if kind == "qp" else Lasso(0.01)
+        count = count_products(f, "Q")
+        result = solve(
+            f, g, np.zeros(f.dim),
+            SolverConfig(method="fista", eps_tol=1e-8, max_iter=300),
+        )
+        assert result.iterations > 5
+        assert count[0] <= sum(2 + r.backtracks for r in result.trace)
+
+
+def form_pair(A, b, ridge=0.0):
+    """The Gram and the residual form of (1/N)||Ax - b||^2 + ridge ||x||^2."""
+    gram = _least_squares(A, b, ridge=ridge)
+    assert isinstance(gram, QuadraticObjective)
+    return gram, LeastSquaresObjective(A, b, ridge=ridge)
+
+
+def rounding_bounds(A, b, x, ridge):
+    """Bounds on |value| and max |gradient entry| differences between the forms.
+
+    Each entry of either form is a sum of at most N products, whose rounding
+    error grows like sqrt(N) eps times the sum of the magnitudes of its terms
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 3.5).  With
+    s = 1/N those sums are at most s (||A||_F ||x|| + ||b||)^2 + ridge ||x||^2
+    for the value and 2 s ||A||_F (||A||_F ||x|| + ||b||) + 2 ridge ||x|| per
+    gradient entry; the factor 4 covers the two forms and their last sums.
+    """
+    n_rows = A.shape[0]
+    s, eps = 1.0 / n_rows, np.finfo(float).eps
+    a_norm, x_norm, b_norm = np.linalg.norm(A), np.linalg.norm(x), np.linalg.norm(b)
+    value = s * (a_norm * x_norm + b_norm) ** 2 + ridge * x_norm**2
+    gradient = 2 * s * a_norm * (a_norm * x_norm + b_norm) + 2 * ridge * x_norm
+    tol = 4 * np.sqrt(n_rows) * eps
+    return tol * value, tol * gradient
+
+
+class TestLeastSquaresForms:
+    """Tall, large designs take the Gram form; the two forms agree to rounding."""
+
+    def test_lasso_ls_shape_takes_the_gram_form(self):
+        prob = generate_regression(n_samples=2000, dim=500, loss="ls", seed=0)
+        f = smooth_part(prob)
+        assert isinstance(f, QuadraticObjective)
+        assert f.Q.shape == (500, 500)
+
+    def test_consensus_ls_shards_keep_the_residual_form(self):
+        prob = generate_regression(n_samples=4000, dim=100, loss="ls", seed=0)
+        shards = split_regression(prob, n_nodes=20, ridge=1e-2)
+        assert len(shards.objectives) == 20
+        assert all(type(f) is LeastSquaresObjective for f in shards.objectives)
+
+    @pytest.mark.parametrize(
+        "shape", [(200, 1000), (1000, 1001), (300, 20), (511, 256)]
+    )
+    def test_wide_or_small_designs_keep_the_residual_form(self, shape):
+        rng = np.random.default_rng(50)
+        A = rng.standard_normal(shape)
+        f = _least_squares(A, rng.standard_normal(shape[0]))
+        assert type(f) is LeastSquaresObjective
+
+    def test_smallest_gram_design(self):
+        rng = np.random.default_rng(51)
+        A = rng.standard_normal((512, 256))  # 2**17 entries
+        assert isinstance(_least_squares(A, rng.standard_normal(512)), QuadraticObjective)
+
+    def test_logistic_keeps_its_form(self):
+        prob = generate_regression(n_samples=2048, dim=64, loss="logistic", seed=52)
+        assert type(smooth_part(prob)) is LogisticObjective
+
+    def test_single_node_split_builds_the_same_objective_as_smooth_part(self):
+        prob = generate_regression(n_samples=2048, dim=64, loss="ls", seed=53)
+        pooled = smooth_part(prob)
+        (node,) = split_regression(prob, n_nodes=1, ridge=0.0).objectives
+        assert isinstance(node, QuadraticObjective)
+        for attr in ("Q", "q", "p", "smoothness", "strong_convexity"):
+            assert same_bits(getattr(node, attr), getattr(pooled, attr)), attr
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.05])
+    def test_curvature_constants(self, ridge):
+        prob = generate_regression(n_samples=2048, dim=64, loss="ls", seed=54)
+        gram, residual = form_pair(prob.A, prob.b, ridge)
+        assert gram.strong_convexity == residual.strong_convexity
+        assert gram.strong_convexity == (2 * ridge if ridge > 0 else None)
+        top = np.linalg.eigvalsh(gram.Q)[-1]
+        np.testing.assert_allclose(gram.smoothness, top, rtol=1e-7)
+        np.testing.assert_allclose(gram.smoothness, residual.smoothness, rtol=1e-7)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.05])
+    def test_forms_agree_within_rounding(self, ridge):
+        prob = generate_regression(n_samples=2048, dim=64, loss="ls", seed=55)
+        gram, residual = form_pair(prob.A, prob.b, ridge)
+        rng = np.random.default_rng(56)
+        for x in (np.zeros(64), rng.standard_normal(64), 1e3 * rng.standard_normal(64)):
+            value_tol, gradient_tol = rounding_bounds(prob.A, prob.b, x, ridge)
+            assert abs(gram.value(x) - residual.value(x)) <= value_tol
+            assert np.max(np.abs(gram.gradient(x) - residual.gradient(x))) <= gradient_tol
+
+    def test_noiseless_instance_at_its_solution(self):
+        rng = np.random.default_rng(57)
+        A = rng.standard_normal((2048, 64))
+        x_true = rng.standard_normal(64)
+        b = A @ x_true
+        gram, residual = form_pair(A, b)
+        value_tol, gradient_tol = rounding_bounds(A, b, x_true, 0.0)
+        # the exact value is 0; the Gram form's rounding may put it just below
+        assert 0.0 <= residual.value(x_true) <= value_tol
+        assert abs(gram.value(x_true)) <= value_tol
+        assert np.max(np.abs(gram.gradient(x_true))) <= gradient_tol
+        assert np.max(np.abs(residual.gradient(x_true))) <= gradient_tol
