@@ -31,7 +31,13 @@ from .solver import (
     line_search,
 )
 from .stepsize import StepPair, _guard_pair, diagonal_bb, hybrid_bb
-from .problems import LogisticObjective, RegressionProblem, _least_squares
+from .problems import (
+    LeastSquaresObjective,
+    LogisticObjective,
+    RegressionProblem,
+    _least_squares,
+    _PointMemo,
+)
 
 MODES = ("local-bb", "local-dbb", "global-bb", "global-dbb")
 
@@ -66,12 +72,76 @@ class _Stacked(SmoothObjective):
         )
 
 
+def _plain_least_squares(f):
+    """f is a LeastSquaresObjective whose value and gradient are its class's."""
+    if type(f) is not LeastSquaresObjective:
+        return False
+    own = vars(f)
+    return not ("value" in own or "gradient" in own)
+
+
+class _StackedLeastSquares(_PointMemo, _Stacked):
+    """_Stacked over least-squares nodes, evaluated in one pass over the nodes.
+
+    sum_j s_j ||A_j x_j - b_j||^2 + r_j ||x_j||^2.  One memo entry, keyed on
+    the whole stacked point, holds every node's r_j . r_j and A_j' r_j: a
+    single node loop writes A_j x_j into its rows of one residual buffer,
+    subtracts b_j in place and applies A_j' while A_j is still in cache.
+    Each node makes the products and elementwise operations that
+    LeastSquaresObjective makes, and node values are summed in node order,
+    so value and gradient are bitwise _Stacked's.  The nodes' matrices,
+    vectors and constants must not change after construction.
+    """
+
+    def __init__(self, objectives, block_dim):
+        super().__init__(objectives, block_dim)
+        self._nodes = [(f.A, f.A.T, f.b) for f in self.objectives]
+        ends = np.cumsum([f.A.shape[0] for f in self.objectives]).tolist()
+        self._rows = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+        self._n_rows = ends[-1]
+        self._scale = np.array([f.scale for f in self.objectives])
+        self._ridge = np.array([f.ridge for f in self.objectives])
+        self._two_scale = (2.0 * self._scale)[:, None]
+        self._two_ridge = (2.0 * self._ridge)[:, None]
+
+    def _image_of(self, x):
+        residual = np.empty(self._n_rows)
+        grads = np.empty((len(self.objectives), self.block_dim))
+        squares = []
+        for (A, At, b), rows, x_j, g_j in zip(
+            self._nodes, self._rows, self._blocks(x), grads
+        ):
+            r = residual[rows]
+            np.matmul(A, x_j, out=r)
+            r -= b
+            squares.append(r @ r)
+            np.matmul(At, r, out=g_j)
+        return np.array(squares), grads
+
+    def value(self, x):
+        x = np.asarray(x)
+        xb = self._blocks(x)
+        squares, _ = self._image(x)
+        terms = self._scale * squares + self._ridge * _row_dot(xb, xb)
+        return sum(terms.tolist())
+
+    def gradient(self, x):
+        x = np.asarray(x)
+        xb = self._blocks(x)
+        _, grads = self._image(x)
+        out = grads * self._two_scale
+        out += self._two_ridge * xb
+        return out.reshape(-1)
+
+
 @dataclass
 class ConsensusProblem:
     """Node objectives over a shared variable of dimension dim."""
 
     objectives: list
     dim: int
+
+    _batched = None  # the one-pass stack that stacked() keeps; not a dataclass field
 
     def __post_init__(self):
         if not self.objectives:
@@ -85,7 +155,18 @@ class ConsensusProblem:
         return len(self.objectives)
 
     def stacked(self):
-        return _Stacked(self.objectives, self.dim)
+        """sum_j f_j(x_j) over the stacked variable (x_1, ..., x_m).
+
+        When every node is a plain LeastSquaresObjective the result is the
+        one-pass _StackedLeastSquares, built once and kept on the problem;
+        otherwise, or once a node's value or gradient is replaced on the
+        instance, it is the per-node loop _Stacked.  Both are bitwise equal.
+        """
+        if not all(map(_plain_least_squares, self.objectives)):
+            return _Stacked(self.objectives, self.dim)
+        if self._batched is None or self._batched.objectives != self.objectives:
+            self._batched = _StackedLeastSquares(self.objectives, self.dim)
+        return self._batched
 
     def bytes_per_round(self):
         # each node uploads its forward point and downloads z, 8 bytes/coord

@@ -212,9 +212,13 @@ class ProxRegularizer(abc.ABC):
 
     ``prox(v, metric)`` returns argmin_x g(x) + (1/2) ||v - x||_U^2.
     ``separable`` marks g that splits into a sum of per-coordinate terms.
+    ``prox_value`` is g's value at every output of its prox when that is one
+    constant, as for an indicator whose prox is feasible by construction;
+    None means the solvers evaluate ``value`` there.
     """
 
     separable = False
+    prox_value = None
 
     @abc.abstractmethod
     def value(self, x):

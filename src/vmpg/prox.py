@@ -21,6 +21,7 @@ class Zero(ProxRegularizer):
     """g = 0; the prox is the identity."""
 
     separable = True
+    prox_value = 0.0
 
     def value(self, x):
         return 0.0
@@ -120,6 +121,7 @@ class Nonnegative(ProxRegularizer):
     """Indicator of the nonnegative orthant; the prox clips at zero."""
 
     separable = True
+    prox_value = 0.0  # the clipped point is in the orthant
 
     def value(self, x):
         return 0.0 if (np.asarray(x) >= 0).all() else np.inf
@@ -194,6 +196,8 @@ class Consensus(ProxRegularizer):
     The scaled prox replaces every block with the metric-weighted average
     z = (sum_j U_j)^{-1} (sum_j U_j x_j), computed elementwise.
     """
+
+    prox_value = 0.0  # every block of the prox output is the same z
 
     def __init__(self, n_blocks):
         if n_blocks < 1:

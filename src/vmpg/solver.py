@@ -143,6 +143,11 @@ def composite_value(f, g, x):
     return f.value(x) + g.value(x)
 
 
+def _g_at_prox(g, x):
+    """g(x) at a point x that g's prox returned: g.prox_value unless it is None."""
+    return g.value(x) if g.prox_value is None else g.prox_value
+
+
 def gradient_mapping(f, g, x, metric):
     """G_U(x) = U (x - prox_{g,U}(x - U^{-1} grad f(x)))."""
     step = g.prox(x - metric.apply_inverse(f.gradient(x)), metric)
@@ -162,14 +167,14 @@ def line_search(f, g, x, grad, metric, f_ref, config):
     U by beta on each rejection.  With line search off (f_ref None) the first
     candidate is returned unconditionally.  F(x_new) = +inf is rejected like
     any other value; a NaN raises NumericalError, as does a rescaled metric
-    that overflows.
+    that overflows.  g's term of F(x_new) is g.prox_value when g declares one.
 
     Returns (x_new, forward_point, metric, backtracks, F(x_new)).
     """
     backtracks = 0
     while True:
         x_new, y = proximal_step(f, g, x, grad, metric)
-        f_new = composite_value(f, g, x_new)
+        f_new = f.value(x_new) + _g_at_prox(g, x_new)
         if math.isnan(f_new):
             raise NumericalError("NaN objective at the candidate point")
         if f_ref is None:
@@ -439,7 +444,7 @@ def fista(f, g, x0, stepsize=None, config=None):
                 w = z - alpha * grad_z
                 x = g.prox(w, metric)
                 if not backtrack:
-                    obj = composite_value(f, g, x)
+                    obj = f.value(x) + _g_at_prox(g, x)
                     break
                 diff = x - z
                 bound = f_z + float(np.dot(grad_z, diff)) + np.dot(diff, diff) / (2 * alpha)
@@ -447,7 +452,7 @@ def fista(f, g, x0, stepsize=None, config=None):
                 if math.isnan(f_x):
                     raise NumericalError("NaN objective at the candidate point")
                 if f_x <= bound:
-                    obj = f_x + g.value(x)
+                    obj = f_x + _g_at_prox(g, x)
                     break
                 if backtracks >= config.max_backtracks:
                     raise LineSearchError(

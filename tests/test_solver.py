@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 import vmpg.solver
+from vmpg.consensus import solve_consensus, split_regression
 from vmpg.core import DiagonalMetric
 from vmpg.problems import QuadraticObjective, generate_qp, generate_regression, smooth_part
-from vmpg.prox import Lasso, Nonnegative, Zero
+from vmpg.prox import (
+    AffineAddition,
+    Consensus,
+    ElasticNet,
+    Lasso,
+    Nonnegative,
+    Scaled,
+    Simplex,
+    Zero,
+)
 from vmpg.solver import (
     CONVERGED,
     LINE_SEARCH_FAILURE,
@@ -335,3 +345,60 @@ class TestConfigValidation:
         err = info.value
         assert err.backtracks == 2
         assert err.candidate_value is not None
+
+
+def count_value_calls(g):
+    """Patch g.value on the instance to count its calls; returns the counter."""
+    calls = []
+    g.value = lambda x, _value=g.value: calls.append(1) or _value(x)
+    return calls
+
+
+class TestIndicatorProxValue:
+    """Indicators whose prox is feasible by construction skip the membership test."""
+
+    def test_declared_by_the_indicators_and_no_other_regularizer(self):
+        assert Zero.prox_value == Nonnegative.prox_value == Consensus.prox_value == 0.0
+        for g in (Simplex(), Lasso(1.0), ElasticNet(1.0, 1.0), Scaled(Nonnegative(), 2.0),
+                  AffineAddition(Zero(), np.ones(3))):
+            assert g.prox_value is None
+
+    @pytest.mark.parametrize("g", [Zero(), Nonnegative(), Consensus(3)],
+                             ids=["zero", "nonneg", "consensus"])
+    def test_prox_outputs_have_the_declared_value(self, g):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            v = rng.standard_normal(6) * 10.0
+            u = DiagonalMetric(np.exp(rng.standard_normal(6)))
+            assert g.value(g.prox(v, u)) == g.prox_value
+
+    @pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb", "fista"])
+    @pytest.mark.parametrize("ls_mode", ["nonmonotone", "monotone", "off"])
+    def test_only_the_starting_objective_tests_membership(self, method, ls_mode):
+        f = smooth_part(generate_qp(n=20, kappa=1e3, seed=1))
+        g = Nonnegative()
+        calls = count_value_calls(g)
+        config = SolverConfig(method=method, line_search=ls_mode, max_iter=50)
+        res = solve(f, g, np.zeros(20), config)
+        assert res.iterations > 1
+        starts = 1 if method != "fista" and ls_mode != "off" else 0
+        assert len(calls) == starts
+        assert res.final_objective == f.value(res.x) + 0.0
+
+    def test_consensus_rounds_skip_the_membership_test(self, monkeypatch):
+        problem = split_regression(generate_regression(60, 4, "ls", 0), 3, 1e-2)
+        calls = []
+        monkeypatch.setattr(
+            Consensus, "value", lambda self, x, _value=Consensus.value:
+            calls.append(1) or _value(self, x))
+        res = solve_consensus(problem, np.zeros(4), config=SolverConfig(max_iter=20))
+        assert res.iterations == 20 and len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["vmpg-dbb", "fista"])
+    def test_other_regularizers_are_still_evaluated(self, method):
+        f = smooth_part(generate_qp(n=20, kappa=1e3, seed=1))
+        g = Lasso(0.1)
+        calls = count_value_calls(g)
+        res = solve(f, g, np.zeros(20), SolverConfig(method=method, max_iter=30))
+        candidates = res.iterations + sum(r.backtracks for r in res.trace)
+        assert len(calls) == candidates + (method != "fista")
