@@ -6,9 +6,7 @@ from .core import (
     NumericalError,
     ProxRegularizer,
     SmoothObjective,
-    apply_inverse,
     as_vector,
-    unorm,
 )
 from .stepsize import (
     BBConfig,

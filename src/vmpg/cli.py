@@ -15,6 +15,7 @@ codes: 0 success, 1 usage/config error, 2 at least one run failed.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -36,7 +37,7 @@ from .problems import (
     smooth_part,
 )
 from .prox import ElasticNet, Lasso, Nonnegative, Zero
-from .solver import CONVERGED, METHODS, SolverConfig, solve
+from .solver import CONVERGED, LINE_SEARCH_MODES, METHODS, SolverConfig, solve
 
 ENV_OUT_DIR = "VMPG_OUT_DIR"
 KINDS = ("qp", "ls", "logistic")
@@ -115,18 +116,14 @@ def _trace_lines(trace, timing):
     return [template % row for row in rows]
 
 
-def _parse_int_list(text, flag):
+def _parse_list(text, flag, cast=str):
+    """A comma-separated list, each item stripped and cast; empty items dropped."""
     try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        return [cast(tok.strip()) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}")
-
-
-def _parse_float_list(text, flag):
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated float list, got {text!r}")
+        raise UsageError(
+            f"{flag} expects a comma-separated list of {cast.__name__} values, got {text!r}"
+        ) from None
 
 
 def _default_eps(kind):
@@ -171,20 +168,17 @@ def _regularizer(spec, problem):
     raise UsageError(f"unknown regularizer {reg!r}; choose from {REGULARIZERS}")
 
 
-def _solver_config(spec, method=None):
-    kind = spec["kind"]
-    kwargs = dict(
-        method=method or "vmpg-dbb",
-        eps_tol=_default_eps(kind) if spec.get("eps_tol") is None else spec["eps_tol"],
-        max_iter=5000 if spec.get("max_iter") is None else spec["max_iter"],
-    )
-    for key in ("mu", "m_ls", "beta", "delta", "line_search"):
-        if spec.get(key) is not None:
-            kwargs[key] = spec[key]
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+def _solver_config(spec, method):
+    """SolverConfig from every spec setting that names one of its fields."""
+    kwargs = {
+        field.name: spec[field.name]
+        for field in dataclasses.fields(SolverConfig)
+        if spec.get(field.name) is not None
+    }
+    kwargs.setdefault("eps_tol", _default_eps(spec["kind"]))
+    kwargs.setdefault("max_iter", 5000)
+    kwargs["method"] = method
+    return SolverConfig(**kwargs)
 
 
 def _aggregate_rows(per_method):
@@ -227,41 +221,45 @@ def _summary_rows(records, per_method):
     return rows + _aggregate_rows(per_method)
 
 
+def _run_cell(spec, run, variant, seed, columns):
+    """Time run(variant), write its trace CSV and return its summary record."""
+    timing = spec.get("timing", "wall")
+    start = time.perf_counter()
+    result = run(variant)
+    wall = 0.0 if timing == "none" else (time.perf_counter() - start) * 1e3
+    _write_csv(
+        os.path.join(spec["out"], f"trace_{variant}_{seed}.csv"),
+        columns,
+        _trace_lines(result.trace, timing),
+        spec,
+        seed,
+    )
+    return {
+        "method": variant,
+        "seed": seed,
+        "iterations": result.iterations,
+        "wall_ms": wall,
+        "final_objective": result.final_objective,
+        "status": result.status,
+    }
+
+
 def _grid(spec, variants, runs, columns):
     """Solve every (seed, variant) cell; write its trace and summary.csv.
 
     runs(seed) builds the seed's problem and returns a function that solves
     it for one variant (a method or a consensus mode).
     """
-    out = spec["out"]
-    timing = spec.get("timing", "wall")
     records = []
     per_variant = {v: [] for v in variants}
     for seed in spec["seeds"]:
         run = runs(seed)
         for variant in variants:
-            start = time.perf_counter()
-            result = run(variant)
-            wall = 0.0 if timing == "none" else (time.perf_counter() - start) * 1e3
-            _write_csv(
-                os.path.join(out, f"trace_{variant}_{seed}.csv"),
-                columns,
-                _trace_lines(result.trace, timing),
-                spec,
-                seed,
-            )
-            record = {
-                "method": variant,
-                "seed": seed,
-                "iterations": result.iterations,
-                "wall_ms": wall,
-                "final_objective": result.final_objective,
-                "status": result.status,
-            }
+            record = _run_cell(spec, run, variant, seed, columns)
             records.append(record)
             per_variant[variant].append(record)
     _write_csv(
-        os.path.join(out, "summary.csv"),
+        os.path.join(spec["out"], "summary.csv"),
         SUMMARY_COLUMNS,
         _csv_lines(_summary_rows(records, per_variant)),
         spec,
@@ -408,7 +406,6 @@ def _load_problem_file(path):
 def cmd_solve(spec):
     seed = spec["seeds"][0]
     method = spec["methods"][0]
-    timing = spec.get("timing", "wall")
     if spec.get("problem_file"):
         problem, kind = _load_problem_file(spec["problem_file"])
         spec = dict(spec)
@@ -418,22 +415,14 @@ def cmd_solve(spec):
     f = smooth_part(problem)
     g = _regularizer(spec, problem)
     config = _solver_config(spec, method)
-    start = time.perf_counter()
-    result = solve(f, g, np.zeros(f.dim), config)
-    wall = 0.0 if timing == "none" else (time.perf_counter() - start) * 1e3
-    _write_csv(
-        os.path.join(spec["out"], f"trace_{method}_{seed}.csv"),
-        TRACE_COLUMNS,
-        _trace_lines(result.trace, timing),
-        spec,
-        seed,
-    )
+    x0 = np.zeros(f.dim)
+    record = _run_cell(spec, lambda _: solve(f, g, x0, config), method, seed, TRACE_COLUMNS)
     print(
-        f"{method} seed={seed} iterations={result.iterations} "
-        f"objective={_fmt(result.final_objective)} status={result.status} "
-        f"wall_ms={_fmt(wall)}"
+        f"{method} seed={seed} iterations={record['iterations']} "
+        f"objective={_fmt(record['final_objective'])} status={record['status']} "
+        f"wall_ms={_fmt(record['wall_ms'])}"
     )
-    return 0 if result.status == CONVERGED else 2
+    return 0 if record["status"] == CONVERGED else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -443,151 +432,125 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="INI config file; flags override it")
-    sub.add_argument("--seed", help="comma-separated seed list, e.g. 0,1,2")
-    sub.add_argument("--method", help="comma-separated method list")
-    sub.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or ./vmpg-out)")
-    sub.add_argument("--max-iter", type=int, dest="max_iter")
-    sub.add_argument("--eps-tol", type=float, dest="eps_tol")
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--mls", type=int, dest="m_ls")
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--timing", choices=("wall", "none"), default=None,
-                     help="'none' writes wall_ms as 0 for byte-reproducible output")
-    sub.add_argument("--line-search", dest="line_search",
-                     choices=("nonmonotone", "monotone", "off"), default=None)
-
-
-def _add_problem_flags(sub):
-    sub.add_argument("--kind", choices=KINDS)
-    sub.add_argument("--n", type=int, help="problem dimension")
-    sub.add_argument("--kappa", type=float, help="QP condition number")
-    sub.add_argument("--n-samples", type=int, dest="n_samples",
-                     help="regression sample count (default 0.2 * n)")
-    sub.add_argument("--reg", choices=REGULARIZERS)
-    sub.add_argument("--lam", type=float, help="regularizer weight")
-    sub.add_argument("--lam2", type=float, help="elastic net quadratic weight")
-    sub.add_argument("--noise", type=float)
-    sub.add_argument("--data", help="CSV dataset instead of a generated instance")
-    sub.add_argument("--label-column", dest="label_column",
-                     help="label column (0-based index or header name)")
+def _shared_flags():
+    """A parent parser holding the flags that every subcommand takes."""
+    shared = argparse.ArgumentParser(add_help=False)
+    add = shared.add_argument
+    add("--config", help="INI config file; flags override it")
+    add("--seed", dest="seeds", metavar="SEED", help="comma-separated seed list, e.g. 0,1,2")
+    add("--method", dest="methods", metavar="METHOD", help="comma-separated method list")
+    add("--out", help=f"output directory (default ${ENV_OUT_DIR} or ./vmpg-out)")
+    add("--max-iter", type=int)
+    add("--eps-tol", type=float)
+    add("--mu", type=float)
+    add("--delta", type=float)
+    add("--mls", type=int, dest="m_ls")
+    add("--beta", type=float)
+    add("--timing", choices=("wall", "none"),
+        help="'none' writes wall_ms as 0 for byte-reproducible output")
+    add("--line-search", choices=LINE_SEARCH_MODES)
+    add("--kind", choices=KINDS)
+    add("--n", type=int, help="problem dimension")
+    add("--kappa", type=float, help="QP condition number")
+    add("--n-samples", type=int, help="regression sample count (default 0.2 * n)")
+    add("--reg", choices=REGULARIZERS)
+    add("--lam", type=float, help="regularizer weight")
+    add("--lam2", type=float, help="elastic net quadratic weight")
+    add("--noise", type=float)
+    add("--data", help="CSV dataset instead of a generated instance")
+    add("--label-column", help="label column (0-based index or header name)")
+    return shared
 
 
 def build_parser():
     parser = _Parser(prog="vmpg", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"vmpg {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    shared = [_shared_flags()]
 
-    bench = subs.add_parser("bench", help="method x seed benchmark grid")
-    _add_common(bench)
-    _add_problem_flags(bench)
+    subs.add_parser("bench", parents=shared, help="method x seed benchmark grid")
 
-    sweep = subs.add_parser("sweep-mu", help="sweep the diagonal BB weight mu")
-    _add_common(sweep)
-    _add_problem_flags(sweep)
+    sweep = subs.add_parser("sweep-mu", parents=shared, help="sweep the diagonal BB weight mu")
     sweep.add_argument("--mus", help="comma-separated mu values")
 
-    cons = subs.add_parser("consensus", help="multi-node consensus benchmark")
-    _add_common(cons)
-    _add_problem_flags(cons)
-    cons.add_argument("--nodes", type=int, default=None)
-    cons.add_argument("--mode", help=f"comma-separated modes from {MODES}")
+    cons = subs.add_parser("consensus", parents=shared, help="multi-node consensus benchmark")
+    cons.add_argument("--nodes", type=int)
+    cons.add_argument("--mode", dest="modes", metavar="MODE",
+                      help=f"comma-separated modes from {MODES}")
     cons.add_argument("--ridge", type=float, help="l2^2 penalty folded into each node")
 
-    gen = subs.add_parser("gen", help="emit a problem instance to an .npz file")
-    _add_common(gen)
-    _add_problem_flags(gen)
+    subs.add_parser("gen", parents=shared, help="emit a problem instance to an .npz file")
 
-    slv = subs.add_parser("solve", help="single (problem, method, seed) run")
-    _add_common(slv)
-    _add_problem_flags(slv)
+    slv = subs.add_parser("solve", parents=shared, help="single (problem, method, seed) run")
     slv.add_argument("--problem", dest="problem_file", help=".npz from `vmpg gen`")
 
     return parser
 
 
-_CONFIG_KEYS = {
-    "kind": str,
-    "n": int,
-    "kappa": float,
-    "n_samples": int,
-    "reg": str,
-    "lam": float,
-    "lam2": float,
-    "noise": float,
-    "data": str,
-    "label_column": str,
-    "methods": str,
-    "seeds": str,
-    "out": str,
-    "max_iter": int,
-    "eps_tol": float,
-    "mu": float,
-    "m_ls": int,
-    "beta": float,
-    "delta": float,
-    "timing": str,
-    "line_search": str,
-    "mus": str,
-    "nodes": int,
-    "modes": str,
-    "ridge": float,
-}
+def _config_keys(parser):
+    """INI key -> the action it sets, over the flags of every subcommand.
 
-# Flags and INI keys that name one item but may list several.
-_SPEC_KEYS = {"seed": "seeds", "method": "methods", "mode": "modes"}
+    A flag is keyed by its name and by its dest, dashes read as underscores.
+    """
+    keys = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                keys.update(_config_keys(sub))
+        elif action.dest not in ("help", "version", "config"):
+            for name in action.option_strings + [action.dest]:
+                keys[name.lstrip("-").replace("-", "_")] = action
+    return keys
 
 
 def _read_config_file(path):
+    """The settings of an INI file, cast and checked as their flags are."""
     parser = ConfigParser()
     read = parser.read(path)
     if not read:
         raise UsageError(f"cannot read config file {path}")
+    keys = _config_keys(build_parser())
     merged = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            key = key.replace("-", "_")
-            key = _SPEC_KEYS.get(key, key)
-            if key not in _CONFIG_KEYS:
+            action = keys.get(key.replace("-", "_"))
+            if action is None:
                 raise UsageError(f"{path}: unknown config key {key!r} in [{section}]")
-            caster = _CONFIG_KEYS[key]
             try:
-                merged[key] = caster(raw)
+                value = (action.type or str)(raw)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError
             except ValueError:
                 raise UsageError(
                     f"{path}: bad value {raw!r} for {key} in [{section}]"
                 ) from None
+            merged[action.dest] = value
     return merged
 
 
 def _assemble_spec(args):
     spec = {}
-    if getattr(args, "config", None):
+    if args.config:
         spec.update(_read_config_file(args.config))
     for attr, val in vars(args).items():
         if val is not None and attr not in ("command", "config"):
-            spec[_SPEC_KEYS.get(attr, attr)] = val
+            spec[attr] = val
 
-    spec["seeds"] = _parse_int_list(spec.get("seeds", "0"), "--seed")
+    spec["seeds"] = _parse_list(spec.get("seeds", "0"), "--seed", int)
     if not spec["seeds"]:
         raise UsageError("--seed list is empty")
-    methods = str(spec.get("methods", "vmpg-dbb,pg-bb"))
-    spec["methods"] = [m.strip() for m in methods.split(",") if m.strip()]
+    spec["methods"] = _parse_list(spec.get("methods", "vmpg-dbb,pg-bb"), "--method")
     for m in spec["methods"]:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
     if "mus" in spec:
-        spec["mus"] = _parse_float_list(spec["mus"], "--mus")
-    modes = str(spec.get("modes", "local-dbb"))
-    spec["modes"] = [m.strip() for m in modes.split(",") if m.strip()]
+        spec["mus"] = _parse_list(spec["mus"], "--mus", float)
+    spec["modes"] = _parse_list(spec.get("modes", "local-dbb"), "--mode")
     for m in spec["modes"]:
         if m not in MODES:
             raise UsageError(f"unknown consensus mode {m!r}; choose from {MODES}")
 
     spec.setdefault("kind", "qp")
-    if spec["kind"] not in KINDS:
-        raise UsageError(f"unknown kind {spec['kind']!r}; choose from {KINDS}")
     spec.setdefault("reg", "nonneg" if spec["kind"] == "qp" else "lasso")
     spec.setdefault("n", 200)
     if spec["kind"] == "qp":
@@ -621,10 +584,7 @@ def main(argv=None):
     try:
         spec = _assemble_spec(args)
         return commands[args.command](spec)
-    except UsageError as err:
-        print(f"vmpg: error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError) as err:  # UsageError is a ValueError
         print(f"vmpg: error: {err}", file=sys.stderr)
         return 1
 

@@ -271,7 +271,7 @@ def node_diagonal_bb(S, Y, config, u_prev):
     return np.clip(candidates, lo[:, None], hi[:, None])
 
 
-def consensus_metric(pair, mode, bb_config, state, n_nodes):
+def consensus_metric(pair, mode, config, state, n_nodes):
     """Metric of one round over the stacked vector; returns (metric, prev_alpha).
 
     Local modes apply the BB rules to each node's block of the stacked step
@@ -283,16 +283,16 @@ def consensus_metric(pair, mode, bb_config, state, n_nodes):
         S = pair.s.reshape(n_nodes, -1)
         Y = pair.y.reshape(n_nodes, -1)
         if mode == "local-bb":
-            alpha = node_hybrid_bb(S, Y, bb_config, state.prev_alpha)
+            alpha = node_hybrid_bb(S, Y, config, state.prev_alpha)
             return DiagonalMetric._trusted(np.repeat(1.0 / alpha, S.shape[1])), alpha
         u_prev = state.prev_metric.diag.reshape(S.shape)
-        diag = node_diagonal_bb(S, Y, bb_config, u_prev)
+        diag = node_diagonal_bb(S, Y, config, u_prev)
         return DiagonalMetric._trusted(diag.reshape(-1)), state.prev_alpha
     if mode == "global-bb":
-        alpha = hybrid_bb(pair, bb_config, state)
+        alpha = hybrid_bb(pair, config, state)
         return DiagonalMetric._trusted_uniform(pair.s.shape[0], 1.0 / alpha), alpha
     if mode == "global-dbb":
-        return diagonal_bb(pair, bb_config, state), state.prev_alpha
+        return diagonal_bb(pair, config, state), state.prev_alpha
     raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
 
 
@@ -325,7 +325,7 @@ def consensus_round(problem, state, mode="local-dbb", config=None):
     g = Consensus(problem.n_nodes)
     pair = StepPair._trusted(state.x - state.x_prev, state.grad - state.grad_prev)
     metric, alpha = consensus_metric(
-        pair, mode, config.bb_config(), state.stepsize_state, problem.n_nodes
+        pair, mode, config, state.stepsize_state, problem.n_nodes
     )
     state, record = _advance(
         f, g, state, metric, alpha, _reference_value(state, config), config

@@ -170,16 +170,6 @@ class BlockDiagonalMetric(DiagonalMetric):
         return f"BlockDiagonalMetric(blocks={self.n_blocks}, dim={self.dim})"
 
 
-def unorm(z, metric):
-    """||z||_U for a diagonal or block-diagonal metric."""
-    return metric.norm(np.asarray(z, dtype=float))
-
-
-def apply_inverse(metric, z):
-    """U^{-1} z."""
-    return metric.apply_inverse(np.asarray(z, dtype=float))
-
-
 class SmoothObjective(abc.ABC):
     """Differentiable term f of the composite objective F = f + g.
 

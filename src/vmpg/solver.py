@@ -37,10 +37,11 @@ NUMERICAL_FAILURE = "numerical-failure"
 
 
 @dataclass
-class SolverConfig:
+class SolverConfig(BBConfig):
+    """Solver settings; the BB settings delta, mu, alpha_min and alpha_max
+    and their checks are BBConfig's, so the BB rules take the config as is."""
+
     method: str = "vmpg-dbb"
-    mu: float = 1e-6            # diagonal BB proximity weight
-    delta: float = 2.0          # hybrid BB switching threshold
     m_ls: int = 15              # nonmonotone window length
     beta: float = 2.0           # metric rescale factor on rejection
     eps_tol: float = 1e-4       # stopping tolerance
@@ -49,10 +50,9 @@ class SolverConfig:
     fixed_stepsize: float = None  # required by pg-fixed unless f exposes L
     line_search: str = "nonmonotone"
     stop_rule: str = "forward-step"
-    alpha_min: float = 1e-10
-    alpha_max: float = 1e10
 
     def __post_init__(self):
+        super().__post_init__()
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.line_search not in LINE_SEARCH_MODES:
@@ -65,14 +65,6 @@ class SolverConfig:
             raise ValueError("m_ls must be at least 1")
         if self.eps_tol <= 0 or self.max_iter < 1 or self.max_backtracks < 0:
             raise ValueError("invalid solver limits")
-
-    def bb_config(self):
-        return BBConfig(
-            delta=self.delta,
-            mu=self.mu,
-            alpha_min=self.alpha_min,
-            alpha_max=self.alpha_max,
-        )
 
 
 @dataclass
@@ -272,11 +264,6 @@ def vmpg_step(f, g, state, config):
     criterion accepts.  Raises LineSearchError after max_backtracks and
     NumericalError when the step pair or a candidate objective is NaN.
     """
-    return _step(f, g, state, config, config.bb_config())
-
-
-def _step(f, g, state, config, bb_config):
-    """vmpg_step with the BB settings built once by the caller."""
     ss = state.stepsize_state
     alpha = ss.prev_alpha
     if config.method == "pg-fixed":
@@ -286,9 +273,9 @@ def _step(f, g, state, config, bb_config):
     elif config.method in ("vmpg-dbb", "pg-bb"):
         pair = StepPair._trusted(state.x - state.x_prev, state.grad - state.grad_prev)
         if config.method == "vmpg-dbb":
-            metric = diagonal_bb(pair, bb_config, ss)
+            metric = diagonal_bb(pair, config, ss)
         else:
-            alpha = hybrid_bb(pair, bb_config, ss)
+            alpha = hybrid_bb(pair, config, ss)
             metric = DiagonalMetric._trusted_uniform(state.x.shape[0], 1.0 / alpha)
     else:
         raise ValueError(f"vmpg_step does not drive method {config.method!r}")
@@ -394,9 +381,8 @@ def solve(f, g, x0, config=None):
     if config.method == "fista":
         return fista(f, g, x0, stepsize=config.fixed_stepsize, config=config)
     x0 = as_vector(x0, dim=f.dim, name="x0")
-    bb_config = config.bb_config()
     x, f_x, trace, status = _iterate(
-        f, g, x0, config, lambda state: _step(f, g, state, config, bb_config)
+        f, g, x0, config, lambda state: vmpg_step(f, g, state, config)
     )
     return SolveResult(
         x=x, status=status, trace=trace, iterations=len(trace), final_objective=f_x

@@ -9,7 +9,7 @@ import pytest
 
 import vmpg.cli
 from vmpg import __version__
-from vmpg.cli import main
+from vmpg.cli import _assemble_spec, _config_hash, build_parser, main
 from vmpg.problems import generate_qp
 
 
@@ -336,6 +336,229 @@ class TestConfigAndEnvironment:
             main(["--version"])
         assert info.value.code == 0
         assert capsys.readouterr().out.strip() == f"vmpg {__version__}"
+
+
+def capture_configs(monkeypatch):
+    """Record the SolverConfig of every solve the CLI starts."""
+    configs = []
+    solve = vmpg.cli.solve
+
+    def recording(f, g, x0, config):
+        configs.append(config)
+        return solve(f, g, x0, config)
+
+    monkeypatch.setattr(vmpg.cli, "solve", recording)
+    return configs
+
+
+class TestIniAndFlagsAgree:
+    """Settings that an INI file and the flags once treated differently."""
+
+    def test_bad_ini_timing_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\ntiming = bogus\n")
+        out = tmp_path / "o"
+        assert main([
+            "solve", "--config", str(cfg), "--kind", "qp", "--n", "5", "--out", str(out),
+        ]) == 1
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ini_mls_sets_the_window(self, tmp_path, monkeypatch):
+        configs = capture_configs(monkeypatch)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nmls = 3\n")
+        assert main([
+            "solve", "--config", str(cfg), "--kind", "qp", "--n", "5", "--kappa", "10",
+            "--out", str(tmp_path / "o"),
+        ]) == 0
+        assert [c.m_ls for c in configs] == [3]
+
+    def test_ini_problem_solves_the_file(self, tmp_path, capsys):
+        path = str(tmp_path / "inst.npz")
+        assert main(["gen", "--kind", "qp", "--n", "8", "--kappa", "10", "--seed", "2",
+                     "--out", path]) == 0
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\nproblem = {path}\nseed = 2\ntiming = none\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(["solve", "--problem", path, "--seed", "2", "--timing", "none",
+                     "--out", str(tmp_path / "b")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == lines[2] and "iterations=" in lines[1]
+        _, rows_a = data_rows(tmp_path / "a" / "trace_vmpg-dbb_2.csv")
+        _, rows_b = data_rows(tmp_path / "b" / "trace_vmpg-dbb_2.csv")
+        assert rows_a == rows_b
+
+    def test_delta_flag_reaches_the_solver(self, tmp_path, monkeypatch):
+        configs = capture_configs(monkeypatch)
+        assert main([
+            "solve", "--kind", "qp", "--n", "5", "--kappa", "10", "--method", "pg-bb",
+            "--delta", "3", "--out", str(tmp_path / "o"),
+        ]) == 0
+        assert [c.delta for c in configs] == [3.0]
+
+    def test_bb_settings_are_checked_for_every_method(self, tmp_path, capsys):
+        assert main([
+            "solve", "--kind", "qp", "--n", "5", "--method", "fista", "--mu", "0",
+            "--out", str(tmp_path / "o"),
+        ]) == 1
+        assert "mu must be positive" in capsys.readouterr().err
+
+
+# (argv, the spec it assembles): the spec is what each file's "# config:" hashes
+SPEC_CASES = [
+    (
+        ["bench", "--kind", "qp", "--n", "100", "--kappa", "1e4", "--reg", "nonneg",
+         "--method", "vmpg-dbb,pg-bb,fista", "--seed", "0,1,2", "--out", "o"],
+        {"kappa": 10000.0, "kind": "qp", "methods": ["vmpg-dbb", "pg-bb", "fista"],
+         "modes": ["local-dbb"], "n": 100, "nodes": 10, "out": "o", "reg": "nonneg",
+         "seeds": [0, 1, 2]},
+    ),
+    (
+        ["bench", "--kind", "ls", "--n", "30", "--kappa", "5", "--n-samples", "80",
+         "--reg", "elastic-net", "--lam", "0.1", "--lam2", "0.2", "--noise", "0.3",
+         "--data", "d.csv", "--label-column", "y", "--method", "fista", "--seed", "7",
+         "--max-iter", "9", "--eps-tol", "1e-6", "--mu", "0.5", "--mls", "4",
+         "--beta", "3", "--timing", "none", "--line-search", "monotone", "--out", "o"],
+        {"beta": 3.0, "data": "d.csv", "eps_tol": 1e-06, "kappa": 5.0, "kind": "ls",
+         "label_column": "y", "lam": 0.1, "lam2": 0.2, "line_search": "monotone",
+         "m_ls": 4, "max_iter": 9, "methods": ["fista"], "modes": ["local-dbb"],
+         "mu": 0.5, "n": 30, "n_samples": 80, "nodes": 10, "noise": 0.3, "out": "o",
+         "reg": "elastic-net", "seeds": [7], "timing": "none"},
+    ),
+    (
+        ["bench", "--kind", "logistic", "--data", "d.csv", "--label-column", "-1"],
+        {"data": "d.csv", "kind": "logistic", "label_column": -1,
+         "methods": ["vmpg-dbb", "pg-bb"], "modes": ["local-dbb"], "n": 200,
+         "nodes": 10, "out": "vmpg-out", "reg": "lasso", "seeds": [0]},
+    ),
+    (
+        ["consensus", "--kind", "ls", "--n", "10", "--n-samples", "120", "--nodes", "4",
+         "--mode", "local-bb, global-dbb", "--ridge", "0", "--seed", "1", "--out", "o"],
+        {"kind": "ls", "methods": ["vmpg-dbb", "pg-bb"],
+         "modes": ["local-bb", "global-dbb"], "n": 10, "n_samples": 120, "nodes": 4,
+         "out": "o", "reg": "lasso", "ridge": 0.0, "seeds": [1]},
+    ),
+    (
+        ["sweep-mu", "--kind", "qp", "--n", "10", "--kappa", "10",
+         "--mus", "1e-8,0.01,1", "--out", "o"],
+        {"kappa": 10.0, "kind": "qp", "methods": ["vmpg-dbb", "pg-bb"],
+         "modes": ["local-dbb"], "mus": [1e-08, 0.01, 1.0], "n": 10, "nodes": 10,
+         "out": "o", "reg": "nonneg", "seeds": [0]},
+    ),
+    (
+        ["solve", "--problem", "p.npz", "--method", "pg-fixed", "--reg", "none",
+         "--seed", "5", "--out", "o"],
+        {"kappa": 10000.0, "kind": "qp", "methods": ["pg-fixed"], "modes": ["local-dbb"],
+         "n": 200, "nodes": 10, "out": "o", "problem_file": "p.npz", "reg": "none",
+         "seeds": [5]},
+    ),
+    (
+        ["gen", "--kind", "qp", "--n", "20", "--seed", "3", "--out", "g/"],
+        {"kappa": 10000.0, "kind": "qp", "methods": ["vmpg-dbb", "pg-bb"],
+         "modes": ["local-dbb"], "n": 20, "nodes": 10, "out": "g/", "reg": "nonneg",
+         "seeds": [3]},
+    ),
+    (
+        ["bench", "--config", "run.ini", "--out", "o"],
+        {"eps_tol": 1e-05, "kind": "ls", "m_ls": 7, "methods": ["pg-bb"],
+         "modes": ["local-dbb"], "n": 12, "n_samples": 60, "nodes": 10, "out": "o",
+         "reg": "lasso", "seeds": [4, 5]},
+    ),
+    (
+        ["bench", "--config", "run.ini", "--method", "vmpg-dbb", "--n", "20", "--out", "o"],
+        {"eps_tol": 1e-05, "kind": "ls", "m_ls": 7, "methods": ["vmpg-dbb"],
+         "modes": ["local-dbb"], "n": 20, "n_samples": 60, "nodes": 10, "out": "o",
+         "reg": "lasso", "seeds": [4, 5]},
+    ),
+    (
+        ["consensus", "--config", "cons.ini", "--n", "6", "--out", "o"],
+        {"kind": "logistic", "methods": ["vmpg-dbb", "pg-bb"],
+         "modes": ["global-bb", "local-bb"], "mu": 0.25, "n": 6, "nodes": 3, "out": "o",
+         "reg": "lasso", "ridge": 0.5, "seeds": [0], "timing": "none"},
+    ),
+]
+
+
+def assemble(argv):
+    return _assemble_spec(build_parser().parse_args(argv))
+
+
+class TestSpec:
+    @pytest.fixture(autouse=True)
+    def _configs(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VMPG_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.ini").write_text(
+            "[run]\nkind = ls\nn = 12\nn-samples = 60\nseed = 4,5\nmethod = pg-bb\n"
+            "eps-tol = 1e-5\nm_ls = 7\n"
+        )
+        (tmp_path / "cons.ini").write_text(
+            "[run]\nkind = logistic\nnodes = 3\nmode = global-bb,local-bb\n"
+            "ridge = 0.5\nmu = 0.25\ntiming = none\n"
+        )
+
+    @pytest.mark.parametrize("argv, spec", SPEC_CASES, ids=lambda v: " ".join(v)[:40])
+    def test_assembled_spec(self, argv, spec):
+        assert assemble(argv) == spec
+
+    def test_config_hash_of_a_spec(self):
+        assert _config_hash(assemble(SPEC_CASES[0][0])) == "dabab534cc77"
+
+
+def flag_actions():
+    """(subcommand, action) for every settable flag, each once."""
+    subs = next(a for a in build_parser()._actions if a.dest == "command").choices
+    seen = {}
+    for command, sub in subs.items():
+        for action in sub._actions:
+            if action.option_strings and action.dest not in ("help", "config"):
+                seen.setdefault(action.option_strings[0], (command, action))
+    return seen
+
+
+# values for the flags that take free text; the others take their last
+# choice, 3 or 2.5
+TEXT_VALUES = {
+    "seeds": "3,4",
+    "methods": "pg-bb,fista",
+    "modes": "global-bb",
+    "mus": "0.5,2",
+    "out": "elsewhere",
+    "data": "d.csv",
+    "label_column": "2",
+    "problem_file": "p.npz",
+}
+
+
+@pytest.mark.parametrize("flag", sorted(flag_actions()))
+def test_ini_key_sets_what_its_flag_sets(flag, tmp_path, monkeypatch):
+    command, action = flag_actions()[flag]
+    if action.choices is not None:
+        value = list(action.choices)[-1]
+    elif action.type is None:
+        value = TEXT_VALUES[action.dest]
+    else:
+        value = {int: "3", float: "2.5"}[action.type]
+    monkeypatch.delenv("VMPG_OUT_DIR", raising=False)
+    base = [command] if flag == "--out" else [command, "--out", "o"]
+    want = assemble(base + [flag, value])
+    for key in {flag[2:], action.dest, action.dest.replace("_", "-")}:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\n{key} = {value}\n")
+        assert assemble(base + ["--config", str(cfg)]) == want, key
+
+
+def test_ini_value_outside_the_choices_is_usage_error(tmp_path):
+    # consensus never reads reg, so only the INI reader can reject it
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nreg = sideways\n")
+    out = tmp_path / "o"
+    assert main([
+        "consensus", "--config", str(cfg), "--kind", "ls", "--n", "4",
+        "--n-samples", "30", "--nodes", "2", "--out", str(out),
+    ]) == 1
+    assert not out.exists()
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():

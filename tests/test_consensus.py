@@ -110,7 +110,7 @@ def reference_round(problem, state, node_states, mode, config):
     gb = state.grad.reshape(m, n)
     gpb = state.grad_prev.reshape(m, n)
     pairs = [StepPair(xb[j] - xpb[j], gb[j] - gpb[j]) for j in range(m)]
-    metric = reference_round_metric(mode, pairs, config.bb_config(), node_states)
+    metric = reference_round_metric(mode, pairs, config, node_states)
     window = min(config.m_ls, state.iteration - 1) + 1
     if config.line_search == "off":
         f_ref = None
@@ -328,7 +328,7 @@ class TestRoundMechanics:
             consensus_metric(
                 StepPair(np.ones(2), np.ones(2)),
                 "median-bb",
-                SolverConfig().bb_config(),
+                SolverConfig(),
                 StepsizeState.initial(2),
                 1,
             )
@@ -428,7 +428,7 @@ class TestBatchedRound:
         rng = np.random.default_rng(11)
         S, Y = rule_rows(rng)
         m = S.shape[0]
-        config = SolverConfig().bb_config()
+        config = SolverConfig()
         prev_alpha = rng.uniform(0.1, 10.0, m)
         u_prev = rng.uniform(0.1, 10.0, S.shape)
         # degenerate rows divide by zero in no warning; the overflowing row
@@ -460,7 +460,7 @@ class TestBatchedRound:
     def test_hybrid_rule_takes_a_scalar_fallback(self):
         S = np.zeros((2, 3))
         Y = np.ones((2, 3))
-        config = SolverConfig().bb_config()
+        config = SolverConfig()
         np.testing.assert_array_equal(node_hybrid_bb(S, Y, config, 0.5), [0.5, 0.5])
 
     @pytest.mark.parametrize("line_search_mode", ["nonmonotone", "monotone", "off"])

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from vmpg.core import (
-    BlockDiagonalMetric,
-    DiagonalMetric,
-    apply_inverse,
-    as_vector,
-    unorm,
-)
+from vmpg.core import BlockDiagonalMetric, DiagonalMetric, as_vector
 
 
 class TestDiagonalMetric:
@@ -46,21 +40,21 @@ class TestDiagonalMetric:
         np.testing.assert_allclose(u.scaled(2.0).diag, [4.0, 16.0])
 
 
-class TestUnorm:
+class TestNorm:
     def test_zero_vector(self):
-        assert unorm(np.zeros(2), DiagonalMetric(np.array([3.0, 5.0]))) == 0.0
+        assert DiagonalMetric(np.array([3.0, 5.0])).norm(np.zeros(2)) == 0.0
 
     def test_identity_metric_is_euclidean(self):
-        value = unorm(np.ones(2), DiagonalMetric.identity(2))
+        value = DiagonalMetric.identity(2).norm(np.ones(2))
         np.testing.assert_allclose(value, np.sqrt(2.0))
 
     def test_hand_expansion(self):
-        value = unorm(np.array([2.0, 1.0]), DiagonalMetric(np.array([3.0, 4.0])))
+        value = DiagonalMetric(np.array([3.0, 4.0])).norm(np.array([2.0, 1.0]))
         np.testing.assert_allclose(value, 4.0)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            unorm(np.ones(3), DiagonalMetric.identity(2))
+            DiagonalMetric.identity(2).norm(np.ones(3))
 
     def test_squared_norm_equals_inner_product(self):
         """||z||_U^2 == <z, Uz> across random vectors and metrics."""
@@ -70,7 +64,7 @@ class TestUnorm:
             z = rng.standard_normal(n)
             u = DiagonalMetric(rng.uniform(0.1, 10.0, n))
             np.testing.assert_allclose(
-                unorm(z, u) ** 2, float(z @ u.apply(z)), rtol=1e-12, atol=1e-300
+                u.norm(z) ** 2, float(z @ u.apply(z)), rtol=1e-12, atol=1e-300
             )
 
 
@@ -78,18 +72,18 @@ class TestApplyInverse:
     def test_identity(self):
         u = DiagonalMetric.identity(2)
         np.testing.assert_allclose(
-            apply_inverse(u, np.array([4.0, -2.0])), [4.0, -2.0]
+            u.apply_inverse(np.array([4.0, -2.0])), [4.0, -2.0]
         )
 
     def test_elementwise_division(self):
         u = DiagonalMetric(np.array([2.0, 4.0]))
         np.testing.assert_allclose(
-            apply_inverse(u, np.array([4.0, -2.0])), [2.0, -0.5]
+            u.apply_inverse(np.array([4.0, -2.0])), [2.0, -0.5]
         )
 
     def test_zero(self):
         u = DiagonalMetric(np.array([10.0]))
-        np.testing.assert_allclose(apply_inverse(u, np.zeros(1)), [0.0])
+        np.testing.assert_allclose(u.apply_inverse(np.zeros(1)), [0.0])
 
     def test_inverse_of_apply_recovers_input(self):
         rng = np.random.default_rng(1)
@@ -97,7 +91,7 @@ class TestApplyInverse:
             n = rng.integers(1, 12)
             z = rng.standard_normal(n)
             u = DiagonalMetric(rng.uniform(1e-3, 1e3, n))
-            np.testing.assert_allclose(apply_inverse(u, u.apply(z)), z, rtol=1e-12)
+            np.testing.assert_allclose(u.apply_inverse(u.apply(z)), z, rtol=1e-12)
 
 
 class TestBlockDiagonalMetric:
@@ -127,7 +121,7 @@ class TestBlockDiagonalMetric:
         big = BlockDiagonalMetric(blocks)
         flat = DiagonalMetric(big.diag)
         z = rng.standard_normal(6)
-        np.testing.assert_allclose(big.norm(z), unorm(z, flat), rtol=1e-12)
+        np.testing.assert_allclose(big.norm(z), flat.norm(z), rtol=1e-12)
 
 
 class TestAsVector:
