@@ -432,13 +432,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _shared_flags():
-    """A parent parser holding the flags that every subcommand takes."""
+def _shared_flags(method=True, regularizer=True):
+    """A parent parser holding the flags that subcommands share.
+
+    A subcommand that would ignore --method, or --reg/--lam/--lam2, is built
+    without them, so passing one is a usage error.
+    """
     shared = argparse.ArgumentParser(add_help=False)
     add = shared.add_argument
     add("--config", help="INI config file; flags override it")
     add("--seed", dest="seeds", metavar="SEED", help="comma-separated seed list, e.g. 0,1,2")
-    add("--method", dest="methods", metavar="METHOD", help="comma-separated method list")
+    if method:
+        add("--method", dest="methods", metavar="METHOD", help="comma-separated method list")
     add("--out", help=f"output directory (default ${ENV_OUT_DIR} or ./vmpg-out)")
     add("--max-iter", type=int)
     add("--eps-tol", type=float)
@@ -453,9 +458,10 @@ def _shared_flags():
     add("--n", type=int, help="problem dimension")
     add("--kappa", type=float, help="QP condition number")
     add("--n-samples", type=int, help="regression sample count (default 0.2 * n)")
-    add("--reg", choices=REGULARIZERS)
-    add("--lam", type=float, help="regularizer weight")
-    add("--lam2", type=float, help="elastic net quadratic weight")
+    if regularizer:
+        add("--reg", choices=REGULARIZERS)
+        add("--lam", type=float, help="regularizer weight")
+        add("--lam2", type=float, help="elastic net quadratic weight")
     add("--noise", type=float)
     add("--data", help="CSV dataset instead of a generated instance")
     add("--label-column", help="label column (0-based index or header name)")
@@ -470,10 +476,15 @@ def build_parser():
 
     subs.add_parser("bench", parents=shared, help="method x seed benchmark grid")
 
-    sweep = subs.add_parser("sweep-mu", parents=shared, help="sweep the diagonal BB weight mu")
+    # sweep-mu always runs vmpg-dbb; consensus solves the smooth problem
+    # with vmpg-dbb settings in each --mode
+    sweep = subs.add_parser("sweep-mu", parents=[_shared_flags(method=False)],
+                            help="sweep the diagonal BB weight mu")
     sweep.add_argument("--mus", help="comma-separated mu values")
 
-    cons = subs.add_parser("consensus", parents=shared, help="multi-node consensus benchmark")
+    cons = subs.add_parser("consensus",
+                           parents=[_shared_flags(method=False, regularizer=False)],
+                           help="multi-node consensus benchmark")
     cons.add_argument("--nodes", type=int)
     cons.add_argument("--mode", dest="modes", metavar="MODE",
                       help=f"comma-separated modes from {MODES}")

@@ -12,7 +12,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .core import SmoothObjective
 
@@ -203,6 +202,10 @@ class LogisticObjective(_AffineLoss):
         )
 
     def gradient(self, x):
+        # imported here: only logistic losses need scipy, so QP and LS runs
+        # never load it
+        from scipy.special import expit
+
         t = self._image(x)
         w = -self.b * expit(-t)
         return self.scale * (self.A.T @ w) + (2.0 * self.ridge) * x
@@ -341,6 +344,8 @@ def generate_regression(n_samples, dim, loss, seed, noise=0.2, lam=None,
         b = A @ x_star + noise * rng.standard_normal(n_samples)
         default_lam = 1e-2
     else:
+        from scipy.special import expit
+
         y = expit(A @ x_star) + noise * rng.uniform(0.0, 1.0, n_samples)
         b = np.where(y >= 0.5, 1.0, -1.0)
         default_lam = 1e-4

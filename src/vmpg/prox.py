@@ -170,6 +170,8 @@ class Simplex(ProxRegularizer):
         nu = hi
         for _ in range(self.max_iter):
             nu = 0.5 * (lo + hi)
+            if not lo < nu < hi:  # adjacent floats: nu cannot get closer
+                break
             h = pivot(nu)
             if abs(h) <= self.tol:
                 break
@@ -182,7 +184,11 @@ class Simplex(ProxRegularizer):
                 break
         out = np.maximum(v - nu / u, 0.0)
         gap = abs(float(np.sum(out)) - 1.0)
-        if gap > 10.0 * self.tol:
+        # each active v_i - nu / u_i rounds by about eps * (|v_i| + 1), so for
+        # large |v| no float nu brings the sum within tol of 1
+        active = np.abs(v[out > 0.0])
+        rounding = (len(v) + 2) * np.finfo(float).eps * (float(np.sum(active)) + 1.0)
+        if gap > 10.0 * self.tol + rounding:
             raise RuntimeError(
                 f"simplex bisection did not converge: |sum - 1| = {gap:g} "
                 f"after {self.max_iter} iterations (bracket [{lo:g}, {hi:g}])"

@@ -326,6 +326,23 @@ class TestConfigAndEnvironment:
         assert "invalid solver limits" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("consensus", "--reg", "lasso"),
+        ("consensus", "--lam", "5"),
+        ("consensus", "--lam2", "2"),
+        ("consensus", "--method", "fista"),
+        ("sweep-mu", "--method", "pg-bb"),
+    ])
+    def test_flag_the_command_would_ignore_exits_one(self, tmp_path, capsys, command,
+                                                     flag, value):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as info:
+            main([command, "--kind", "ls", "--n", "8", "--n-samples", "60",
+                  flag, value, "--out", str(out)])
+        assert info.value.code == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as info:
             main(["bench", "--warp", "9"])
@@ -561,11 +578,15 @@ def test_ini_value_outside_the_choices_is_usage_error(tmp_path):
     assert not out.exists()
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    """Only the test-only prox oracle needs scipy.optimize; start-up skips it."""
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """Only logistic losses and the test-only prox oracle need scipy, and they
+    import it on first use; start-up loads numpy and vmpg alone."""
     src = os.path.dirname(os.path.dirname(vmpg.cli.__file__))
-    code = "import sys, vmpg.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, vmpg, vmpg.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -1,12 +1,16 @@
 """Problem generators, objective classes, and dataset loading."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from vmpg.consensus import ConsensusProblem, solve_consensus, split_regression
+from vmpg import problems
 from vmpg.core import SmoothObjective
 from vmpg.problems import (
     LeastSquaresObjective,
@@ -103,6 +107,31 @@ class TestGenerateRegression:
         np.testing.assert_allclose(
             np.linalg.norm(prob.A, axis=0), np.ones(9), rtol=1e-12
         )
+
+
+def test_first_logistic_use_imports_scipy_and_computes_the_same_bits():
+    """A fresh interpreter loads scipy.special only when a logistic problem
+    needs it, and its labels and gradient match this process, which has scipy
+    loaded already."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from vmpg.problems import generate_regression, smooth_part\n"
+        "print('scipy.special' in sys.modules)\n"
+        "p = generate_regression(40, 12, 'logistic', 5)\n"
+        "grad = smooth_part(p).gradient(np.linspace(-1.0, 1.0, 12))\n"
+        "print(p.b.tobytes().hex(), grad.tobytes().hex())\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(problems.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    before, values, after = out.stdout.splitlines()
+    p = generate_regression(40, 12, "logistic", 5)
+    grad = smooth_part(p).gradient(np.linspace(-1.0, 1.0, 12))
+    assert (before, after) == ("False", "True")
+    assert values == f"{p.b.tobytes().hex()} {grad.tobytes().hex()}"
 
 
 class TestPrecondition:

@@ -8,6 +8,10 @@ checked exactly.  A prox under a positive diagonal metric U is firmly
 nonexpansive in the U-norm:
 
     ||P(a) - P(b)||_U^2 <= <P(a) - P(b), a - b>_U.
+
+Each prox is checked under the metric it requires: GroupLasso under U
+scalar on each group, Consensus over equal blocks, and Simplex up to its
+bisection tolerance.
 """
 
 import numpy as np
@@ -18,7 +22,7 @@ from hypothesis.extra.numpy import arrays
 from vmpg.consensus import MODES, solve_consensus, split_regression
 from vmpg.core import DiagonalMetric
 from vmpg.problems import generate_qp, generate_regression, smooth_part
-from vmpg.prox import ElasticNet, Lasso, Nonnegative, Zero
+from vmpg.prox import Consensus, ElasticNet, GroupLasso, Lasso, Nonnegative, Simplex, Zero
 from vmpg.solver import SolverConfig, composite_value, solve
 
 SOLVES = settings(max_examples=25, deadline=None,
@@ -72,18 +76,86 @@ class TestMonotoneDescent:
         assert_monotone_descent(res.trace, f_start)
 
 
+weights = st.floats(1e-4, 1e4)
+
+
+def draw_points(data, n):
+    points = arrays(np.float64, n, elements=st.floats(-1e4, 1e4))
+    return data.draw(points), data.draw(points)
+
+
+def firm_gap(g, u, a, b):
+    """(<dp, a - b>_U - ||dp||_U^2, dp) for dp = P(a) - P(b) under diag(u)."""
+    metric = DiagonalMetric(u)
+    dp = g.prox(a, metric) - g.prox(b, metric)
+    return float(np.sum(u * dp * (a - b))) - float(np.sum(u * dp * dp)), dp
+
+
+def rounding_slack(u, dp, a, b):
+    """Rounding of a prox computed coordinate by coordinate, and of the sums."""
+    return 1e-12 * float(np.sum(u * np.abs(dp) * (np.abs(a) + np.abs(b) + 1.0)))
+
+
+def simplex_error(g, v):
+    """Bound on ||P(v) - P*(v)||_1 for Simplex g and the exact projection P*.
+
+    Every output coordinate is nonincreasing in the pivot, so this error is
+    the exact |sum P(v) - 1|: at most what the prox accepts (10 tol plus the
+    rounding of v - nu / u) and that rounding once more.
+    """
+    eps = np.finfo(float).eps
+    return 10.0 * g.tol + 2.0 * (len(v) + 2) * eps * (float(np.sum(np.abs(v))) + 1.0)
+
+
 class TestFirmNonexpansiveness:
     @PROXES
     @given(data=st.data(), g=regularizers, n=st.integers(1, 12))
     def test_in_the_metric_norm(self, data, g, n):
-        u = data.draw(arrays(np.float64, n, elements=st.floats(1e-4, 1e4)))
-        points = arrays(np.float64, n, elements=st.floats(-1e4, 1e4))
-        a, b = data.draw(points), data.draw(points)
+        u = data.draw(arrays(np.float64, n, elements=weights))
+        a, b = draw_points(data, n)
+        gap, dp = firm_gap(g, u, a, b)
+        # each coordinate's exact term dp * (a - b - dp) is >= 0
+        assert gap >= -rounding_slack(u, dp, a, b)
+
+    @PROXES
+    @given(data=st.data(), lam=positive,
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    def test_group_lasso_under_a_block_scalar_metric(self, data, lam, sizes):
+        ends = np.cumsum(sizes)
+        g = GroupLasso(lam, zip(ends - sizes, ends))
+        u = np.repeat(data.draw(arrays(np.float64, len(sizes), elements=weights)), sizes)
+        a, b = draw_points(data, int(ends[-1]))
+        gap, dp = firm_gap(g, u, a, b)
+        # each group's exact term <dp_j, a_j - b_j - dp_j> is >= 0; the prox
+        # scales each group by one rounded factor, so the rounding is as above
+        assert gap >= -rounding_slack(u, dp, a, b)
+
+    @PROXES
+    @given(data=st.data(), blocks=st.integers(1, 4), n=st.integers(1, 4))
+    def test_consensus_over_equal_blocks(self, data, blocks, n):
+        g = Consensus(blocks)
+        u = data.draw(arrays(np.float64, blocks * n, elements=weights))
+        a, b = draw_points(data, blocks * n)
+        gap, dp = firm_gap(g, u, a, b)
+        # the prox is the U-orthogonal projection onto the consensus subspace,
+        # so the exact gap is 0 and only rounding decides its sign; each output
+        # is a weighted average, whose rounding scales with the same average
+        # of |a| and |b|
         metric = DiagonalMetric(u)
-        dp = g.prox(a, metric) - g.prox(b, metric)
-        lhs = float(np.sum(u * dp * dp))
-        rhs = float(np.sum(u * dp * (a - b)))
-        # each coordinate's exact term dp * (a - b - dp) is >= 0; the slack
-        # covers the rounding of the prox and of the two sums
-        slack = 1e-12 * float(np.sum(u * np.abs(dp) * (np.abs(a) + np.abs(b) + 1.0)))
-        assert lhs <= rhs + slack
+        mean_abs = g.prox(np.abs(a), metric) + g.prox(np.abs(b), metric)
+        assert gap >= -rounding_slack(u, dp, a, b) - 1e-12 * float(
+            np.sum(u * np.abs(dp) * mean_abs)
+        )
+
+    @PROXES
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_simplex_within_its_bisection_tolerance(self, data, n):
+        g = Simplex()
+        u = data.draw(arrays(np.float64, n, elements=weights))
+        a, b = draw_points(data, n)
+        gap, dp = firm_gap(g, u, a, b)
+        # errors e = P(a) - P*(a) of the bisected outputs move the exact gap
+        # by at most sum u |e| (2 |dp| + |a - b| + |e|)
+        err = simplex_error(g, a) + simplex_error(g, b)
+        bisection = err * float(np.max(u * (2.0 * np.abs(dp) + np.abs(a - b) + err)))
+        assert gap >= -rounding_slack(u, dp, a, b) - bisection

@@ -120,6 +120,13 @@ class TestSimplex:
         out = Simplex().prox(np.array([-3.7]), metric([2.0]))
         np.testing.assert_allclose(out, [1.0], atol=1e-11)
 
+    def test_large_entries_stop_at_float_accuracy(self):
+        """v - nu / u rounds by about 1e-12 here, more than tol: the bisection
+        stops at adjacent floats instead of raising."""
+        out = Simplex().prox(np.full(12, 5166.0), metric(np.full(12, 203.0)))
+        eps_v = np.finfo(float).eps * 5166.0
+        np.testing.assert_allclose(out, np.full(12, 1.0 / 12.0), rtol=0, atol=12 * eps_v)
+
     def test_output_constraints_and_kkt(self):
         """Nonnegative, unit sum, and a common multiplier on the support."""
         rng = np.random.default_rng(2)
