@@ -432,18 +432,20 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _shared_flags(method=True, regularizer=True):
-    """A parent parser holding the flags that subcommands share.
+def _shared_flags(omit=()):
+    """A parent parser holding the flags that subcommands share, but omit.
 
-    A subcommand that would ignore --method, or --reg/--lam/--lam2, is built
-    without them, so passing one is a usage error.
+    A subcommand that would ignore a flag is built without it, so passing
+    one is a usage error.
     """
     shared = argparse.ArgumentParser(add_help=False)
-    add = shared.add_argument
+
+    def add(flag, **kwargs):
+        if flag not in omit:
+            shared.add_argument(flag, **kwargs)
     add("--config", help="INI config file; flags override it")
     add("--seed", dest="seeds", metavar="SEED", help="comma-separated seed list, e.g. 0,1,2")
-    if method:
-        add("--method", dest="methods", metavar="METHOD", help="comma-separated method list")
+    add("--method", dest="methods", metavar="METHOD", help="comma-separated method list")
     add("--out", help=f"output directory (default ${ENV_OUT_DIR} or ./vmpg-out)")
     add("--max-iter", type=int)
     add("--eps-tol", type=float)
@@ -458,10 +460,9 @@ def _shared_flags(method=True, regularizer=True):
     add("--n", type=int, help="problem dimension")
     add("--kappa", type=float, help="QP condition number")
     add("--n-samples", type=int, help="regression sample count (default 0.2 * n)")
-    if regularizer:
-        add("--reg", choices=REGULARIZERS)
-        add("--lam", type=float, help="regularizer weight")
-        add("--lam2", type=float, help="elastic net quadratic weight")
+    add("--reg", choices=REGULARIZERS)
+    add("--lam", type=float, help="regularizer weight")
+    add("--lam2", type=float, help="elastic net quadratic weight")
     add("--noise", type=float)
     add("--data", help="CSV dataset instead of a generated instance")
     add("--label-column", help="label column (0-based index or header name)")
@@ -476,21 +477,25 @@ def build_parser():
 
     subs.add_parser("bench", parents=shared, help="method x seed benchmark grid")
 
-    # sweep-mu always runs vmpg-dbb; consensus solves the smooth problem
-    # with vmpg-dbb settings in each --mode
-    sweep = subs.add_parser("sweep-mu", parents=[_shared_flags(method=False)],
-                            help="sweep the diagonal BB weight mu")
+    # sweep-mu always runs vmpg-dbb over --mus, and would read --mu as an
+    # abbreviation of it; consensus solves the smooth problem with vmpg-dbb
+    # settings in each --mode; gen stores --lam with the instance
+    sweep = subs.add_parser("sweep-mu", parents=[_shared_flags(omit=("--method", "--mu"))],
+                            allow_abbrev=False, help="sweep the diagonal BB weight mu")
     sweep.add_argument("--mus", help="comma-separated mu values")
 
-    cons = subs.add_parser("consensus",
-                           parents=[_shared_flags(method=False, regularizer=False)],
-                           help="multi-node consensus benchmark")
+    cons = subs.add_parser(
+        "consensus", parents=[_shared_flags(omit=("--method", "--reg", "--lam", "--lam2"))],
+        help="multi-node consensus benchmark")
     cons.add_argument("--nodes", type=int)
     cons.add_argument("--mode", dest="modes", metavar="MODE",
                       help=f"comma-separated modes from {MODES}")
     cons.add_argument("--ridge", type=float, help="l2^2 penalty folded into each node")
 
-    subs.add_parser("gen", parents=shared, help="emit a problem instance to an .npz file")
+    gen_omits = ("--method", "--max-iter", "--eps-tol", "--mu", "--delta", "--mls", "--beta",
+                 "--timing", "--line-search", "--reg", "--lam2")
+    subs.add_parser("gen", parents=[_shared_flags(omit=gen_omits)],
+                    help="emit a problem instance to an .npz file")
 
     slv = subs.add_parser("solve", parents=shared, help="single (problem, method, seed) run")
     slv.add_argument("--problem", dest="problem_file", help=".npz from `vmpg gen`")

@@ -26,6 +26,7 @@ from .solver import (
     _advance,
     _iterate,
     _reference_value,
+    _warmup,
     # not called here: kept so that code patching vmpg.consensus.line_search
     # (as the benchmark's tracer does) still finds the attribute
     line_search,
@@ -296,9 +297,10 @@ def consensus_metric(pair, mode, config, state, n_nodes):
     raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
 
 
-def _with_bytes(record, problem):
-    """record as a ConsensusTraceRecord carrying the round's communication."""
-    return ConsensusTraceRecord(
+def _with_bytes(step, problem):
+    """A step's (state, record), the record carrying the round's communication."""
+    state, record = step
+    return state, ConsensusTraceRecord(
         **vars(record), bytes_exchanged=problem.bytes_per_round()
     )
 
@@ -327,10 +329,10 @@ def consensus_round(problem, state, mode="local-dbb", config=None):
     metric, alpha = consensus_metric(
         pair, mode, config, state.stepsize_state, problem.n_nodes
     )
-    state, record = _advance(
-        f, g, state, metric, alpha, _reference_value(state, config), config
+    return _with_bytes(
+        _advance(f, g, state, metric, alpha, _reference_value(state, config), config),
+        problem,
     )
-    return state, _with_bytes(record, problem)
 
 
 def solve_consensus(problem, x0, mode="local-dbb", config=None):
@@ -345,15 +347,13 @@ def solve_consensus(problem, x0, mode="local-dbb", config=None):
         raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
     config = config or SolverConfig()
     x0 = as_vector(x0, dim=problem.dim, name="x0")
+    f = problem.stacked()
+    g = Consensus(problem.n_nodes)
     x, f_x, trace, status = _iterate(
-        problem.stacked(),
-        Consensus(problem.n_nodes),
-        np.tile(x0, problem.n_nodes),
-        config,
+        f, g, np.tile(x0, problem.n_nodes), config,
+        lambda x: _with_bytes(_warmup(f, g, x, config), problem),
         lambda state: consensus_round(problem, state, mode, config),
     )
-    if trace:
-        trace[0] = _with_bytes(trace[0], problem)
     return ConsensusResult(
         z=x[:problem.dim].copy(),
         status=status,

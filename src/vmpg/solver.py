@@ -8,8 +8,16 @@ The driver iterates
 where the metric U^k comes from a scalar hybrid BB rule (``pg-bb``), the
 diagonal BB subproblem (``vmpg-dbb``), or is held fixed (``pg-fixed``).
 Steps are accepted under a nonmonotone sufficient-decrease test and the
-metric is rescaled by beta until acceptance.  ``fista`` provides the usual
-accelerated baseline with the same trace schema.
+metric is rescaled by beta until acceptance.  ``fista`` is the usual
+accelerated baseline: x^{k+1} = prox_{g, I/alpha}(z^k - alpha grad f(z^k))
+from an extrapolated point z^k, with the same trace schema.
+
+One driver loop serves every method and ``solve_consensus``: it takes a
+start (the warm-up step, or FISTA's initial state) and a step (``vmpg_step``,
+``consensus_round`` or FISTA's step), and alone owns the run clock, the stop
+rule, the failure statuses and the result.  So ``stop_rule`` holds for FISTA
+too; its forward point is z^k - alpha grad f(z^k), and ``grad-map`` measures
+its own gradient map (z^k - x^{k+1}) / alpha.
 
 ``solve`` and ``solve_consensus`` validate their inputs once, at the
 boundary; inside the loop, step pairs and metrics are built without O(n)
@@ -19,7 +27,7 @@ A NaN that one of them catches ends the run with ``NUMERICAL_FAILURE``.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,6 +101,19 @@ class SolverState:
     stepsize_state: StepsizeState
     forward: np.ndarray       # accepted forward point y^k
     f_x: float                # F(x^k)
+
+
+@dataclass
+class FistaState:
+    x: np.ndarray             # x^k
+    x_prev: np.ndarray        # z^{k-1}, the point x^k was stepped from
+    z: np.ndarray             # z^k, the point the next step starts from
+    t: float                  # momentum t_k
+    alpha: float              # stepsize; the metric is I / alpha
+    metric: DiagonalMetric
+    forward: np.ndarray       # forward point w^{k-1}
+    f_x: float                # F(x^k); None at x^0
+    iteration: int            # k
 
 
 @dataclass
@@ -196,12 +217,16 @@ def _reference_value(state, config):
 
 
 def _resolve_fixed_stepsize(f, config):
+    """The stepsize of pg-fixed and FISTA's first: fixed_stepsize, else 1/L,
+    else 1.0 for FISTA with backtracking to shrink it."""
     if config.fixed_stepsize is not None:
         return float(config.fixed_stepsize)
     if f.smoothness is not None:
         return 1.0 / f.smoothness
+    if config.method == "fista" and config.line_search != "off":
+        return 1.0
     raise ValueError(
-        "pg-fixed needs fixed_stepsize in the config or an objective "
+        f"{config.method} needs fixed_stepsize in the config or an objective "
         "exposing its smoothness constant"
     )
 
@@ -321,6 +346,53 @@ def _warmup(f, g, x0, config):
     return state, record
 
 
+def _fista_step(f, g, state, config):
+    """One accelerated step from z^k; returns (next state, TraceRecord).
+
+    x^{k+1} = prox_{g, I/alpha}(w^k), w^k = z^k - alpha grad f(z^k).  Unless
+    line search is off, alpha shrinks by beta until f(x^{k+1}) lies under the
+    quadratic upper bound at z^k.  The next state's x_prev is z^k, so the
+    grad-map stop rule measures (z^k - x^{k+1}) / alpha.  Raises as
+    line_search does.
+    """
+    backtrack = config.line_search != "off"
+    z, alpha, metric = state.z, state.alpha, state.metric
+    grad_z = f.gradient(z)
+    if backtrack:
+        f_z = f.value(z)
+        if math.isnan(f_z):
+            raise NumericalError("NaN objective at the extrapolated point")
+    backtracks = 0
+    while True:
+        w = z - alpha * grad_z
+        x = g.prox(w, metric)
+        if not backtrack:
+            obj = f.value(x) + _g_at_prox(g, x)
+            break
+        diff = x - z
+        bound = f_z + float(np.dot(grad_z, diff)) + np.dot(diff, diff) / (2 * alpha)
+        f_x = f.value(x)  # reused in the objective below
+        if math.isnan(f_x):
+            raise NumericalError("NaN objective at the candidate point")
+        if f_x <= bound:
+            obj = f_x + _g_at_prox(g, x)
+            break
+        if backtracks >= config.max_backtracks:
+            raise LineSearchError(state.iteration, backtracks, f_x, bound, metric.u_max)
+        alpha /= config.beta
+        u = 1.0 / alpha if alpha > 0.0 else math.inf  # alpha may underflow
+        metric = DiagonalMetric._trusted_uniform(x.shape[0], u)
+        backtracks += 1
+    if math.isnan(obj):
+        raise NumericalError("NaN objective at the candidate point")
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t**2))
+    z_next = x + ((state.t - 1.0) / t_next) * (x - state.x)
+    root, u = math.sqrt(alpha), 1.0 / alpha
+    record = TraceRecord(state.iteration, obj, _norm(z - x) / root,
+                         _norm(x - state.x) / root, backtracks, u, u, 0.0)
+    return FistaState(x, z, z_next, t_next, alpha, metric, w, obj, record.iter + 1), record
+
+
 def _stopped(state, prev_forward, config):
     if config.stop_rule == "forward-step":
         return _norm(state.forward - prev_forward) <= config.eps_tol
@@ -328,37 +400,37 @@ def _stopped(state, prev_forward, config):
     return _norm(mapping) / max(1.0, _norm(state.x)) <= config.eps_tol
 
 
-def _failure(err):
-    return LINE_SEARCH_FAILURE if isinstance(err, LineSearchError) else NUMERICAL_FAILURE
+def _iterate(f, g, x0, config, start, step):
+    """state = start(x0), then state = step(state) until the stop rule holds
+    after a step or the trace has max_iter records.
 
-
-def _iterate(f, g, x0, config, step):
-    """Warm up, then state = step(state) until the stop rule holds or max_iter.
-
-    x0 is validated by the caller.  Each record's wall_ms is the time since
-    the start of the run.  Returns (x, F(x), trace, status); a failed
-    iteration returns the last accepted iterate, x0 if the warm-up failed.
+    start returns the first state and its TraceRecord, or None if it takes
+    no step.  x0 is validated by the caller.  Each record's wall_ms is the
+    time since the start of the run.  Returns (x, F(x), trace, status); a
+    failure returns the last accepted iterate, or x0 and F(x0) if none.
     """
     t0 = time.perf_counter()
-    try:
-        state, record = _warmup(f, g, x0, config)
-    except (LineSearchError, NumericalError) as err:
-        return x0, composite_value(f, g, x0), [], _failure(err)
-    record.wall_ms = (time.perf_counter() - t0) * 1e3
-    trace = [record]
+    trace = []
     status = MAX_ITER
-    while len(trace) < config.max_iter:
-        prev_forward = state.forward
-        try:
+    try:
+        state, record = start(x0)
+        if record is not None:
+            record.wall_ms = (time.perf_counter() - t0) * 1e3
+            trace.append(record)
+        while len(trace) < config.max_iter:
+            prev_forward = state.forward
             state, record = step(state)
-        except (LineSearchError, NumericalError) as err:
-            status = _failure(err)
-            break
-        record.wall_ms = (time.perf_counter() - t0) * 1e3
-        trace.append(record)
-        if _stopped(state, prev_forward, config):
-            status = CONVERGED
-            break
+            record.wall_ms = (time.perf_counter() - t0) * 1e3
+            trace.append(record)
+            if _stopped(state, prev_forward, config):
+                status = CONVERGED
+                break
+    except LineSearchError:
+        status = LINE_SEARCH_FAILURE
+    except NumericalError:
+        status = NUMERICAL_FAILURE
+    if not trace:
+        return x0, composite_value(f, g, x0), trace, status
     return state.x, state.f_x, trace, status
 
 
@@ -378,107 +450,28 @@ def solve(f, g, x0, config=None):
     SolveResult with the final iterate, status, and per-iteration trace.
     """
     config = config or SolverConfig()
-    if config.method == "fista":
-        return fista(f, g, x0, stepsize=config.fixed_stepsize, config=config)
     x0 = as_vector(x0, dim=f.dim, name="x0")
-    x, f_x, trace, status = _iterate(
-        f, g, x0, config, lambda state: vmpg_step(f, g, state, config)
-    )
+    if config.method == "fista":
+        alpha = _resolve_fixed_stepsize(f, config)
+        metric = DiagonalMetric.uniform(x0.shape[0], 1.0 / alpha)
+        start = lambda x: (FistaState(x, x, x, 1.0, alpha, metric, x, None, 0), None)
+        step = lambda state: _fista_step(f, g, state, config)
+    else:
+        start = lambda x: _warmup(f, g, x, config)
+        step = lambda state: vmpg_step(f, g, state, config)
+    x, f_x, trace, status = _iterate(f, g, x0, config, start, step)
     return SolveResult(
         x=x, status=status, trace=trace, iterations=len(trace), final_objective=f_x
     )
 
 
 def fista(f, g, x0, stepsize=None, config=None):
-    """Accelerated proximal gradient (no restart), same trace schema.
+    """Accelerated proximal gradient (no restart): solve with method "fista".
 
-    The stepsize must satisfy alpha <= 1/L unless backtracking is active
-    (any line_search mode except "off"), in which case alpha shrinks under
-    the standard quadratic upper-bound test.  A NaN objective ends the run
-    with NUMERICAL_FAILURE at the last accepted iterate.
+    stepsize replaces config.fixed_stepsize; without it alpha is 1/L, or 1.0
+    when backtracking is active (any line_search mode except "off") and f
+    exposes no L.  Under backtracking alpha shrinks until the standard
+    quadratic upper-bound test holds; otherwise it must satisfy alpha <= 1/L.
     """
-    config = config or SolverConfig(method="fista")
-    x0 = as_vector(x0, dim=f.dim, name="x0")
-    if stepsize is None:
-        if f.smoothness is not None:
-            alpha = 1.0 / f.smoothness
-        elif config.line_search != "off":
-            alpha = 1.0
-        else:
-            raise ValueError("fista needs a stepsize or an objective exposing L")
-    else:
-        alpha = float(stepsize)
-    metric = DiagonalMetric.uniform(x0.shape[0], 1.0 / alpha)
-    t0 = time.perf_counter()
-    backtrack = config.line_search != "off"
-    x_prev = x0
-    z = x0
-    t_momentum = 1.0
-    w_prev = x0
-    trace = []
-    status = MAX_ITER
-    final_x = x0
-    try:
-        while len(trace) < config.max_iter:
-            grad_z = f.gradient(z)
-            if backtrack:
-                f_z = f.value(z)
-                if math.isnan(f_z):
-                    raise NumericalError("NaN objective at the extrapolated point")
-            backtracks = 0
-            while True:
-                w = z - alpha * grad_z
-                x = g.prox(w, metric)
-                if not backtrack:
-                    obj = f.value(x) + _g_at_prox(g, x)
-                    break
-                diff = x - z
-                bound = f_z + float(np.dot(grad_z, diff)) + np.dot(diff, diff) / (2 * alpha)
-                f_x = f.value(x)  # reused in the objective below
-                if math.isnan(f_x):
-                    raise NumericalError("NaN objective at the candidate point")
-                if f_x <= bound:
-                    obj = f_x + _g_at_prox(g, x)
-                    break
-                if backtracks >= config.max_backtracks:
-                    raise LineSearchError(
-                        len(trace), backtracks, f_x, bound, metric.u_max
-                    )
-                alpha /= config.beta
-                u = 1.0 / alpha if alpha > 0.0 else math.inf  # alpha may underflow
-                metric = DiagonalMetric._trusted_uniform(x0.shape[0], u)
-                backtracks += 1
-            if math.isnan(obj):
-                raise NumericalError("NaN objective at the candidate point")
-            grad_map = _norm(z - x) / math.sqrt(alpha)
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum**2))
-            z = x + ((t_momentum - 1.0) / t_next) * (x - x_prev)
-            trace.append(
-                TraceRecord(
-                    iter=len(trace),
-                    objective=obj,
-                    grad_map_norm=grad_map,
-                    step_norm_u=_norm(x - x_prev) / math.sqrt(alpha),
-                    backtracks=backtracks,
-                    u_min=1.0 / alpha,
-                    u_max=1.0 / alpha,
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                )
-            )
-            final_x = x
-            converged = _norm(w - w_prev) <= config.eps_tol
-            x_prev = x
-            t_momentum = t_next
-            w_prev = w
-            if converged:
-                status = CONVERGED
-                break
-    except (LineSearchError, NumericalError) as err:
-        status = _failure(err)
-    return SolveResult(
-        x=final_x,
-        status=status,
-        trace=trace,
-        iterations=len(trace),
-        final_objective=trace[-1].objective if trace else composite_value(f, g, x0),
-    )
+    config = replace(config or SolverConfig(), method="fista", fixed_stepsize=stepsize)
+    return solve(f, g, x0, config)

@@ -332,6 +332,10 @@ class TestConfigAndEnvironment:
         ("consensus", "--lam2", "2"),
         ("consensus", "--method", "fista"),
         ("sweep-mu", "--method", "pg-bb"),
+        ("sweep-mu", "--mu", "0.5"),
+        ("gen", "--method", "fista"),
+        ("gen", "--max-iter", "5"),
+        ("gen", "--reg", "lasso"),
     ])
     def test_flag_the_command_would_ignore_exits_one(self, tmp_path, capsys, command,
                                                      flag, value):

@@ -32,6 +32,8 @@ from vmpg.solver import (
 )
 from vmpg.stepsize import StepPair, StepsizeState, bb1, bb2, diagonal_bb, hybrid_bb
 
+from digests import record_digest
+
 
 def scalar_curvature_problem(curvatures, dim=3):
     """One node per entry, f_j(x) = (c_j/2) ||x||^2."""
@@ -175,15 +177,6 @@ def reference_solve(problem, x0, mode, config):
             status = CONVERGED
             break
     return state.x[:n].copy(), status, trace
-
-
-def record_bits(rec):
-    """Every trace field but wall_ms, as bytes."""
-    return [
-        np.float64(getattr(rec, k)).tobytes()
-        for k in ("iter", "objective", "grad_map_norm", "step_norm_u",
-                  "backtracks", "u_min", "u_max", "bytes_exchanged")
-    ]
 
 
 def count_metric_builds(monkeypatch):
@@ -478,7 +471,7 @@ class TestBatchedRound:
         assert got.status == status
         assert got.iterations == len(trace)
         assert got.z.tobytes() == z.tobytes()
-        assert [record_bits(r) for r in got.trace] == [record_bits(r) for r in trace]
+        assert [record_digest(r) for r in got.trace] == [record_digest(r) for r in trace]
         if line_search_mode == "monotone":
             assert sum(r.backtracks for r in trace) > 0
 
@@ -574,7 +567,7 @@ class TestSharedDriver:
             assert got.status == want.status
             assert got.iterations == want.iterations
             assert got.z.tobytes() == want.x[:6].tobytes()
-            # record_bits minus bytes_exchanged, which solve's records lack
-            assert [record_bits(r)[:-1] for r in got.trace] == [
-                record_bits(ConsensusTraceRecord(**vars(r)))[:-1] for r in want.trace
+            # bytes_exchanged dropped: solve's records lack it
+            assert [record_digest(r, drop=("bytes_exchanged",)) for r in got.trace] == [
+                record_digest(r) for r in want.trace
             ]

@@ -6,8 +6,6 @@ node set keeps the per-node loop ``_Stacked``.  The two must agree bit for
 bit, point by point and over whole consensus solves.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -27,9 +25,7 @@ from vmpg.problems import (
 )
 from vmpg.solver import SolverConfig
 
-
-def bits(a):
-    return np.asarray(a, dtype=float).tobytes()
+from digests import bits, digest
 
 
 def shards(n_samples, dim, nodes, ridge, loss="ls", seed=3):
@@ -176,16 +172,6 @@ class TestWhichPath:
         assert problem == ConsensusProblem(problem.objectives, problem.dim)
 
 
-def _digest(result):
-    trace = []
-    for record in result.trace:
-        fields = dataclasses.asdict(record)
-        del fields["wall_ms"]
-        trace.append({k: bits(v) if isinstance(v, float) else v for k, v in fields.items()})
-    return (result.status, result.iterations, bits(result.z),
-            bits(result.final_objective), trace)
-
-
 class TestSolvesMatchTheLoop:
     @pytest.mark.parametrize("mode", MODES)
     def test_every_line_search_mode_and_stop_rule(self, mode):
@@ -201,6 +187,6 @@ class TestSolvesMatchTheLoop:
                 assert type(looped.stacked()) is _Stacked
                 run = solve_consensus(batched, np.zeros(8), mode, config)
                 ref = solve_consensus(looped, np.zeros(8), mode, config)
-                assert _digest(run) == _digest(ref)
+                assert digest(run) == digest(ref)
                 backtracks += sum(r.backtracks for r in run.trace)
         assert backtracks > 0  # rejected candidates are covered too

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,6 +37,8 @@ from vmpg.stepsize import (
     hybrid_bb,
 )
 
+from digests import bits
+
 # The properties reach the extremes BBConfig accepts, where numpy warns about
 # overflow that the rules and guards then handle.
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -45,10 +47,6 @@ PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 SOLVES = settings(max_examples=30, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
-
-
-def bits(a):
-    return np.asarray(a, dtype=float).tobytes()
 
 
 def reference_hybrid_bb(pair, config, prev_alpha):
@@ -383,6 +381,18 @@ def _check_injected(clean, clean_calls, run, calls, start, last_call_unused):
         assert run.status == clean.status and bits(x) == bits(_point(clean))
 
 
+def _last_gradient_unused(clean, target, method):
+    """Whether the clean run computed its last gradient and never used it.
+
+    The VM-PG methods and consensus rounds evaluate the gradient at each
+    accepted iterate, so a run that stops by its rule or at max_iter leaves
+    the last one unused; when it ends in a line-search failure, that gradient
+    fed the failing step.  FISTA evaluates the gradient where it steps from.
+    """
+    return (target == "gradient" and method != "fista"
+            and clean.status != LINE_SEARCH_FAILURE)
+
+
 class TestNaNEndsInAStatus:
     @SOLVES
     @given(method=st.sampled_from(["vmpg-dbb", "pg-bb", "fista"]),
@@ -392,7 +402,7 @@ class TestNaNEndsInAStatus:
     def test_solve(self, method, mode, target, start):
         clean, clean_calls = _qp_solve(method, mode, target, None)
         run, calls = _qp_solve(method, mode, target, start)
-        last_unused = target == "gradient" and method != "fista"
+        last_unused = _last_gradient_unused(clean, target, method)
         _check_injected(clean, clean_calls, run, calls, start, last_unused)
 
     @SOLVES
@@ -400,10 +410,13 @@ class TestNaNEndsInAStatus:
            ls_mode=st.sampled_from(["nonmonotone", "monotone", "off"]),
            target=st.sampled_from(["value", "gradient", "prox"]),
            start=st.integers(0, 30), node=st.integers(0, 2))
+    # the clean run fails its line search in round 27, from the gradient at x^27
+    @example(mode="local-dbb", ls_mode="monotone", target="gradient", start=27, node=0)
     def test_solve_consensus(self, mode, ls_mode, target, start, node):
         clean, clean_calls = _consensus_solve(mode, ls_mode, target, None, node)
         run, calls = _consensus_solve(mode, ls_mode, target, start, node)
-        _check_injected(clean, clean_calls, run, calls, start, target == "gradient")
+        last_unused = _last_gradient_unused(clean, target, "vmpg-dbb")
+        _check_injected(clean, clean_calls, run, calls, start, last_unused)
 
     @pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb", "fista"])
     @pytest.mark.parametrize("target", ["value", "gradient", "prox"])
