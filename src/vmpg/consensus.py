@@ -12,6 +12,9 @@ modes) or from the concatenated pair across nodes (global modes).
 
 The execution here is a deterministic sequential simulation: node updates
 are independent within a round and the reduction is summed in node order.
+The one-pass least-squares stack walks its nodes in alternating directions,
+so that each pass starts on the matrices the last one left in cache; its
+values are still summed in node order.
 """
 
 from dataclasses import dataclass
@@ -87,7 +90,8 @@ class _StackedLeastSquares(_PointMemo, _Stacked):
     sum_j s_j ||A_j x_j - b_j||^2 + r_j ||x_j||^2.  One memo entry, keyed on
     the whole stacked point, holds every node's r_j . r_j and A_j' r_j: a
     single node loop writes A_j x_j into its rows of one residual buffer,
-    subtracts b_j in place and applies A_j' while A_j is still in cache.
+    subtracts b_j in place and applies A_j' while A_j is still in cache;
+    successive loops run in opposite node orders.
     Each node makes the products and elementwise operations that
     LeastSquaresObjective makes, and node values are summed in node order,
     so value and gradient are bitwise _Stacked's.  The nodes' matrices,
@@ -96,9 +100,11 @@ class _StackedLeastSquares(_PointMemo, _Stacked):
 
     def __init__(self, objectives, block_dim):
         super().__init__(objectives, block_dim)
-        self._nodes = [(f.A, f.A.T, f.b) for f in self.objectives]
         ends = np.cumsum([f.A.shape[0] for f in self.objectives]).tolist()
-        self._rows = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+        self._nodes = [
+            (j, f.A, f.A.T, f.b, slice(a, b))
+            for j, (f, a, b) in enumerate(zip(self.objectives, [0] + ends[:-1], ends))
+        ]
         self._n_rows = ends[-1]
         self._scale = np.array([f.scale for f in self.objectives])
         self._ridge = np.array([f.ridge for f in self.objectives])
@@ -106,18 +112,18 @@ class _StackedLeastSquares(_PointMemo, _Stacked):
         self._two_ridge = (2.0 * self._ridge)[:, None]
 
     def _image_of(self, x):
+        self._nodes.reverse()  # start on the nodes the last pass left in cache
         residual = np.empty(self._n_rows)
-        grads = np.empty((len(self.objectives), self.block_dim))
-        squares = []
-        for (A, At, b), rows, x_j, g_j in zip(
-            self._nodes, self._rows, self._blocks(x), grads
-        ):
+        squares = np.empty(len(self._nodes))
+        grads = np.empty((len(self._nodes), self.block_dim))
+        xb = self._blocks(x)
+        for j, A, At, b, rows in self._nodes:
             r = residual[rows]
-            np.matmul(A, x_j, out=r)
+            np.matmul(A, xb[j], out=r)
             r -= b
-            squares.append(r @ r)
-            np.matmul(At, r, out=g_j)
-        return np.array(squares), grads
+            squares[j] = r.dot(r)
+            np.matmul(At, r, out=grads[j])
+        return squares, grads
 
     def value(self, x):
         x = np.asarray(x)
@@ -269,7 +275,7 @@ def node_diagonal_bb(S, Y, config, u_prev):
     swap = lo > hi  # float noise can invert the ordering of eq-close values
     lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
     candidates = (S * Y + config.mu * u_prev) / (S**2 + config.mu)
-    return np.clip(candidates, lo[:, None], hi[:, None])
+    return np.minimum(np.maximum(candidates, lo[:, None]), hi[:, None])  # np.clip
 
 
 def consensus_metric(pair, mode, config, state, n_nodes):

@@ -80,7 +80,7 @@ class QuadraticObjective(_PointMemo):
         return self.Q @ x
 
     def value(self, x):
-        return 0.5 * float(x @ self._image(x)) + float(self.q @ x) + self.p
+        return 0.5 * float(x.dot(self._image(x))) + float(self.q.dot(x)) + self.p
 
     def gradient(self, x):
         return self._image(x) + self.q

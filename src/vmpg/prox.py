@@ -231,8 +231,10 @@ class Consensus(ProxRegularizer):
             return v.copy()
         vb = v.reshape(self.n_blocks, n)
         ub = metric.diag.reshape(self.n_blocks, n)
-        z = np.sum(ub * vb, axis=0) / np.sum(ub, axis=0)
-        return np.tile(z, self.n_blocks)
+        out = np.empty_like(vb)
+        # np.add.reduce is np.sum without its wrapper; the broadcast copy is np.tile
+        out[:] = np.add.reduce(ub * vb, 0) / np.add.reduce(ub, 0)
+        return out.reshape(-1)
 
 
 # --- conjugates used by the Moreau identity check ---------------------------

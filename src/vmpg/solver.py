@@ -23,15 +23,20 @@ its own gradient map (z^k - x^{k+1}) / alpha.
 boundary; inside the loop, step pairs and metrics are built without O(n)
 validation and guarded by O(1) checks on scalars the loop computes anyway.
 A NaN that one of them catches ends the run with ``NUMERICAL_FAILURE``.
+Each vector an iteration needs is formed once (x^{k+1} - x^k and U times
+it serve both trace norms), and numpy is reached through its cheapest
+entry points that give the same bits: ``ndarray.dot``, minimum/maximum
+instead of ``np.clip``, argmin/argmax for a metric's extremes.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DiagonalMetric, NumericalError, as_vector
+from .core import METRIC_FLOOR, DiagonalMetric, NumericalError, as_vector
 from .stepsize import BBConfig, StepPair, StepsizeState, diagonal_bb, hybrid_bb
 
 METHODS = ("vmpg-dbb", "pg-bb", "pg-fixed", "fista")
@@ -67,12 +72,20 @@ class SolverConfig(BBConfig):
             raise ValueError(f"unknown line search mode {self.line_search!r}")
         if self.stop_rule not in STOP_RULES:
             raise ValueError(f"unknown stop rule {self.stop_rule!r}")
-        if self.beta <= 1:
-            raise ValueError("beta must exceed 1")
+        if not 1 < self.beta < math.inf:
+            raise ValueError("beta must be finite and exceed 1")
+        if not all(isinstance(count, numbers.Integral)
+                   for count in (self.m_ls, self.max_iter, self.max_backtracks)):
+            raise ValueError("m_ls, max_iter and max_backtracks must be integers")
         if self.m_ls < 1:
             raise ValueError("m_ls must be at least 1")
-        if self.eps_tol <= 0 or self.max_iter < 1 or self.max_backtracks < 0:
+        if not 0 < self.eps_tol < math.inf or self.max_iter < 1 or self.max_backtracks < 0:
             raise ValueError("invalid solver limits")
+        # pg-fixed and FISTA use the metric I / fixed_stepsize
+        step = self.fixed_stepsize
+        if step is not None and not (0 < step and METRIC_FLOOR <= 1.0 / step < math.inf):
+            raise ValueError("need fixed_stepsize > 0 with 1/fixed_stepsize finite "
+                             f"and >= {METRIC_FLOOR:g}")
 
 
 @dataclass
@@ -148,7 +161,7 @@ class LineSearchError(RuntimeError):
 
 def _norm(v):
     """||v||_2 of a 1-D float vector, bit for bit what np.linalg.norm returns."""
-    return math.sqrt(float(np.dot(v, v)))
+    return math.sqrt(float(v.dot(v)))
 
 
 def composite_value(f, g, x):
@@ -186,13 +199,15 @@ def line_search(f, g, x, grad, metric, f_ref, config):
     """
     backtracks = 0
     while True:
-        x_new, y = proximal_step(f, g, x, grad, metric)
+        y = x - grad / metric.diag  # proximal_step without its two calls
+        x_new = g.prox(y, metric)
         f_new = f.value(x_new) + _g_at_prox(g, x_new)
         if math.isnan(f_new):
             raise NumericalError("NaN objective at the candidate point")
         if f_ref is None:
             return x_new, y, metric, backtracks, f_new
-        decrease = 0.5 * metric.norm(x_new - x) ** 2
+        d = x_new - x
+        decrease = 0.5 * math.sqrt((metric.diag * d).dot(d)) ** 2
         if f_new <= f_ref - decrease:
             return x_new, y, metric, backtracks, f_new
         if backtracks >= config.max_backtracks:
@@ -235,14 +250,14 @@ def _advance(f, g, state, metric, alpha, f_ref, config):
     """The forward-backward update from x^k under the metric a rule chose.
 
     Backtracks the metric until the test against f_ref accepts, records the
-    iteration and returns (next state, TraceRecord); the next stepsize
+    iteration (wall_ms 0.0: _iterate stamps the run clock) and returns
+    (next state, TraceRecord); the next stepsize
     memory is (alpha, accepted metric).  The warm-up, vmpg-dbb, pg-bb,
     pg-fixed and every consensus mode differ only in how they choose metric,
     alpha and f_ref before this call.
     Raises LineSearchError, stamped with the index k, after max_backtracks,
     and NumericalError as line_search does.
     """
-    t0 = time.perf_counter()
     try:
         x_new, y_new, metric, backtracks, f_new = line_search(
             f, g, state.x, state.grad, metric, f_ref, config
@@ -251,32 +266,17 @@ def _advance(f, g, state, metric, alpha, f_ref, config):
         err.iteration = state.iteration
         raise
 
-    diff = x_new - state.x
-    mapping = metric.apply(-diff)  # G_{U^k}(x^k) = U^k (x^k - x^{k+1})
+    u = metric.diag
+    d = x_new - state.x
+    ud = u * d  # -G_{U^k}(x^k) = U^k (x^{k+1} - x^k)
     record = TraceRecord(
-        iter=state.iteration,
-        objective=f_new,
-        grad_map_norm=math.sqrt(np.dot(mapping**2, 1.0 / metric.diag)),
-        step_norm_u=metric.norm(diff),
-        backtracks=backtracks,
-        u_min=metric.u_min,
-        u_max=metric.u_max,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
+        state.iteration, f_new, math.sqrt((ud * ud).dot(np.reciprocal(u))),
+        math.sqrt(ud.dot(d)), backtracks, metric.u_min, metric.u_max, 0.0,
     )
-    history = state.f_history + [f_new]
-    if len(history) > config.m_ls + 1:
-        history = history[-(config.m_ls + 1):]
     new_state = SolverState(
-        x=x_new,
-        x_prev=state.x,
-        grad=f.gradient(x_new),
-        grad_prev=state.grad,
-        metric=metric,
-        f_history=history,
-        iteration=state.iteration + 1,
-        stepsize_state=StepsizeState(prev_alpha=alpha, prev_metric=metric),
-        forward=y_new,
-        f_x=f_new,
+        x_new, state.x, f.gradient(x_new), state.grad, metric,
+        state.f_history[-config.m_ls:] + [f_new], state.iteration + 1,
+        StepsizeState(alpha, metric), y_new, f_new,
     )
     return new_state, record
 
@@ -366,11 +366,12 @@ def _fista_step(f, g, state, config):
     while True:
         w = z - alpha * grad_z
         x = g.prox(w, metric)
+        diff = x - z
+        dd = diff.dot(diff)  # ||x^{k+1} - z^k||^2, for the bound and the trace
         if not backtrack:
             obj = f.value(x) + _g_at_prox(g, x)
             break
-        diff = x - z
-        bound = f_z + float(np.dot(grad_z, diff)) + np.dot(diff, diff) / (2 * alpha)
+        bound = f_z + float(grad_z.dot(diff)) + dd / (2 * alpha)
         f_x = f.value(x)  # reused in the objective below
         if math.isnan(f_x):
             raise NumericalError("NaN objective at the candidate point")
@@ -385,11 +386,12 @@ def _fista_step(f, g, state, config):
         backtracks += 1
     if math.isnan(obj):
         raise NumericalError("NaN objective at the candidate point")
+    step = x - state.x
     t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t**2))
-    z_next = x + ((state.t - 1.0) / t_next) * (x - state.x)
+    z_next = x + ((state.t - 1.0) / t_next) * step
     root, u = math.sqrt(alpha), 1.0 / alpha
-    record = TraceRecord(state.iteration, obj, _norm(z - x) / root,
-                         _norm(x - state.x) / root, backtracks, u, u, 0.0)
+    record = TraceRecord(state.iteration, obj, math.sqrt(dd) / root,
+                         math.sqrt(step.dot(step)) / root, backtracks, u, u, 0.0)
     return FistaState(x, z, z_next, t_next, alpha, metric, w, obj, record.iter + 1), record
 
 

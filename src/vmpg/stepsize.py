@@ -125,9 +125,9 @@ def _bb_values(pair):
     Raises NumericalError when s or y has a NaN or Inf entry.
     """
     s, y = pair.s, pair.y
-    ss = float(np.dot(s, s))
-    sy = float(np.dot(s, y))
-    yy = float(np.dot(y, y))
+    ss = float(s.dot(s))
+    sy = float(s.dot(y))
+    yy = float(y.dot(y))
     _guard_pair(ss + sy + yy, s, y)
     if sy <= 0.0 or yy == 0.0:
         return None
@@ -186,4 +186,5 @@ def diagonal_bb(pair, config, state):
             f"step pair has {pair.s.shape[0]}"
         )
     candidates = (pair.s * pair.y + config.mu * u_prev) / (pair.s**2 + config.mu)
-    return DiagonalMetric._trusted(np.clip(candidates, lo, hi))
+    # np.clip(candidates, lo, hi) bit for bit, through two cheaper ufunc calls
+    return DiagonalMetric._trusted(np.minimum(np.maximum(candidates, lo), hi))

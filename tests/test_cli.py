@@ -326,6 +326,18 @@ class TestConfigAndEnvironment:
         assert "invalid solver limits" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps-tol", "nan"), ("--eps-tol", "inf"), ("--beta", "nan"), ("--beta", "inf"),
+    ])
+    def test_non_finite_solver_setting_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = main([
+            "solve", "--kind", "qp", "--n", "10", "--kappa", "100",
+            flag, value, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     @pytest.mark.parametrize("command, flag, value", [
         ("consensus", "--reg", "lasso"),
         ("consensus", "--lam", "5"),

@@ -1,5 +1,7 @@
 """The variable-metric proximal-gradient loop, baselines, and trace capture."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -329,6 +331,42 @@ class TestConfigValidation:
     def test_rejects_unknown_stop_rule(self):
         with pytest.raises(ValueError):
             SolverConfig(stop_rule="energy")
+
+    # each used to fail mid-run: 0.0 with ZeroDivisionError after the warm-up,
+    # the others with ValueError from the metric (NaN only under FISTA)
+    @pytest.mark.parametrize("stepsize", [0.0, -1.0, math.inf, math.nan, 1e-320, 1e301])
+    @pytest.mark.parametrize("method", ["pg-fixed", "fista"])
+    def test_rejects_bad_fixed_stepsize(self, method, stepsize):
+        with pytest.raises(ValueError, match="fixed_stepsize"):
+            SolverConfig(method=method, fixed_stepsize=stepsize)
+
+    def test_accepts_the_extreme_valid_fixed_stepsizes(self):
+        for stepsize in (1e-300, 1e300):
+            SolverConfig(method="pg-fixed", fixed_stepsize=stepsize)
+        config = SolverConfig(method="pg-fixed", fixed_stepsize=0.25)
+        assert solve(quadratic([1.0, 4.0]), Zero(), np.ones(2), config).status == CONVERGED
+
+    @pytest.mark.parametrize("settings", [
+        {"eps_tol": math.nan}, {"eps_tol": math.inf},
+        {"beta": math.nan}, {"beta": math.inf},
+    ])
+    def test_rejects_non_finite_limits(self, settings):
+        # eps_tol=nan ran silently to max_iter; beta=nan or inf ended in
+        # numerical-failure at iteration 0
+        with pytest.raises(ValueError):
+            SolverConfig(**settings)
+
+    @pytest.mark.parametrize("settings", [
+        {"max_iter": 10.5}, {"max_iter": 10.0}, {"m_ls": 2.5}, {"max_backtracks": 3.0},
+    ])
+    def test_rejects_non_integral_counts(self, settings):
+        # max_iter=10.5 ran 11 iterations; m_ls=2.5 raised TypeError mid-run
+        with pytest.raises(ValueError, match="integers"):
+            SolverConfig(**settings)
+
+    def test_accepts_numpy_integer_counts(self):
+        config = SolverConfig(m_ls=np.int64(3), max_iter=np.int32(4), max_backtracks=np.int64(0))
+        assert solve(quadratic([1.0, 4.0]), Zero(), np.ones(2), config).iterations <= 4
 
     def test_line_search_error_carries_diagnostics(self):
         f = quadratic([1e8], q=[0.0])
