@@ -84,6 +84,21 @@ def _plain_least_squares(f):
     return not ("value" in own or "gradient" in own)
 
 
+def _node_product(A):
+    """The cheapest call that computes A @ v and A.T @ w into out= bitwise as
+    np.matmul does.
+
+    That is ndarray.dot for a row-major A with at least two rows and two
+    columns, where both make the same BLAS gemv call.  Every other design
+    keeps np.matmul: np.dot copies a strided design first and rounds
+    differently, and it multiplies by a lone entry without matmul's sum from
+    +0.0, which keeps the sign of a zero that matmul drops.
+    """
+    if A.flags.c_contiguous and min(A.shape) > 1:
+        return np.ndarray.dot
+    return np.matmul
+
+
 class _StackedLeastSquares(_PointMemo, _Stacked):
     """_Stacked over least-squares nodes, evaluated in one pass over the nodes.
 
@@ -96,34 +111,43 @@ class _StackedLeastSquares(_PointMemo, _Stacked):
     LeastSquaresObjective makes, and node values are summed in node order,
     so value and gradient are bitwise _Stacked's.  The nodes' matrices,
     vectors and constants must not change after construction.
+
+    The point, residual, square and gradient buffers are the stack's own,
+    allocated once with views per node, so a pass makes four calls per node
+    and allocates nothing; each node's products go through the entry point
+    _node_product picks for its layout.  Evaluating one stack from two
+    threads at once is not safe.
     """
 
     def __init__(self, objectives, block_dim):
         super().__init__(objectives, block_dim)
         ends = np.cumsum([f.A.shape[0] for f in self.objectives]).tolist()
+        m = len(self.objectives)
+        self._point = np.empty((m, self.block_dim))
+        residual = np.empty(ends[-1])
+        self._squares = np.empty(m)
+        self._grads = np.empty((m, self.block_dim))
         self._nodes = [
-            (j, f.A, f.A.T, f.b, slice(a, b))
+            (j, _node_product(f.A), f.A, f.A.T, f.b,
+             self._point[j], residual[a:b], self._grads[j])
             for j, (f, a, b) in enumerate(zip(self.objectives, [0] + ends[:-1], ends))
         ]
-        self._n_rows = ends[-1]
         self._scale = np.array([f.scale for f in self.objectives])
         self._ridge = np.array([f.ridge for f in self.objectives])
         self._two_scale = (2.0 * self._scale)[:, None]
         self._two_ridge = (2.0 * self._ridge)[:, None]
 
     def _image_of(self, x):
+        self._image_key = None  # the memo's buffers are about to be overwritten
         self._nodes.reverse()  # start on the nodes the last pass left in cache
-        residual = np.empty(self._n_rows)
-        squares = np.empty(len(self._nodes))
-        grads = np.empty((len(self._nodes), self.block_dim))
-        xb = self._blocks(x)
-        for j, A, At, b, rows in self._nodes:
-            r = residual[rows]
-            np.matmul(A, xb[j], out=r)
+        np.copyto(self._point, self._blocks(x))
+        squares = self._squares
+        for j, mul, A, At, b, x_j, r, grad in self._nodes:
+            mul(A, x_j, out=r)
             r -= b
             squares[j] = r.dot(r)
-            np.matmul(At, r, out=grads[j])
-        return squares, grads
+            mul(At, r, out=grad)
+        return squares, self._grads
 
     def value(self, x):
         x = np.asarray(x)
@@ -303,12 +327,20 @@ def consensus_metric(pair, mode, config, state, n_nodes):
     raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
 
 
-def _with_bytes(step, problem):
-    """A step's (state, record), the record carrying the round's communication."""
-    state, record = step
-    return state, ConsensusTraceRecord(
-        **vars(record), bytes_exchanged=problem.bytes_per_round()
-    )
+class _SolveParts:
+    """What every round of one solve shares, built once per solve: the
+    stacked objective, the Consensus prox and the bytes a round exchanges."""
+
+    def __init__(self, problem):
+        self.n_nodes = problem.n_nodes
+        self.f = problem.stacked()
+        self.g = Consensus(problem.n_nodes)
+        self.bytes = problem.bytes_per_round()
+
+    def record(self, step):
+        """A step's (state, record), the record carrying the round's communication."""
+        state, record = step
+        return state, ConsensusTraceRecord(**vars(record), bytes_exchanged=self.bytes)
 
 
 def consensus_round(problem, state, mode="local-dbb", config=None):
@@ -325,20 +357,20 @@ def consensus_round(problem, state, mode="local-dbb", config=None):
     per node in local-bb).  A round builds one metric plus one per
     backtrack.  Raises LineSearchError after max_backtracks and
     NumericalError when the step pair or a candidate objective is NaN.
+    solve_consensus passes its _SolveParts in place of the problem, so that
+    all its rounds share one stacked objective and one prox.
     """
     if mode not in MODES:
         raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
     config = config or SolverConfig()
-    f = problem.stacked()
-    g = Consensus(problem.n_nodes)
+    parts = problem if type(problem) is _SolveParts else _SolveParts(problem)
     pair = StepPair._trusted(state.x - state.x_prev, state.grad - state.grad_prev)
     metric, alpha = consensus_metric(
-        pair, mode, config, state.stepsize_state, problem.n_nodes
+        pair, mode, config, state.stepsize_state, parts.n_nodes
     )
-    return _with_bytes(
-        _advance(f, g, state, metric, alpha, _reference_value(state, config), config),
-        problem,
-    )
+    return parts.record(_advance(
+        parts.f, parts.g, state, metric, alpha, _reference_value(state, config), config
+    ))
 
 
 def solve_consensus(problem, x0, mode="local-dbb", config=None):
@@ -347,18 +379,18 @@ def solve_consensus(problem, x0, mode="local-dbb", config=None):
     Every node starts at x0; the rounds run under solve's driver, so they
     proceed until config.stop_rule holds on the stacked iterates or
     max_iter.  Returns the consensus point z with a per-round trace that
-    includes the bytes-exchanged cost metric.
+    includes the bytes-exchanged cost metric.  The stacked objective, the
+    prox and the byte count are built once, before the first round.
     """
     if mode not in MODES:
         raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
     config = config or SolverConfig()
     x0 = as_vector(x0, dim=problem.dim, name="x0")
-    f = problem.stacked()
-    g = Consensus(problem.n_nodes)
+    parts = _SolveParts(problem)
     x, f_x, trace, status = _iterate(
-        f, g, np.tile(x0, problem.n_nodes), config,
-        lambda x: _with_bytes(_warmup(f, g, x, config), problem),
-        lambda state: consensus_round(problem, state, mode, config),
+        parts.f, parts.g, np.tile(x0, problem.n_nodes), config,
+        lambda x: parts.record(_warmup(parts.f, parts.g, x, config)),
+        lambda state: consensus_round(parts, state, mode, config),
     )
     return ConsensusResult(
         z=x[:problem.dim].copy(),

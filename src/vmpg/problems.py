@@ -101,7 +101,12 @@ class _AffineLoss(_PointMemo):
 
     The memoized image is the residual for least squares and the margins for
     logistic, so ``value`` and ``gradient`` share one product A @ x.
+    ``smoothness`` bounds the Hessian scale * A' D A + 2 ridge I, where the
+    loss's second derivative D is at most ``_curvature``.
     """
+
+    _curvature = None  # set by each loss
+    _smoothness = None
 
     def __init__(self, A, b, scale=None, ridge=0.0):
         self.A = np.asarray(A, dtype=float)
@@ -115,11 +120,22 @@ class _AffineLoss(_PointMemo):
     def dim(self):
         return self.A.shape[1]
 
+    @property
+    def smoothness(self):
+        # curvature * scale * ||A||_2^2 + 2 * ridge, ||A||_2^2 the top
+        # eigenvalue of A'A by power iteration; computed on first use
+        if self._smoothness is None:
+            top = power_iteration(
+                lambda v: self.A.T @ (self.A @ v), self.A.shape[1]
+            )
+            self._smoothness = self._curvature * self.scale * top + 2.0 * self.ridge
+        return self._smoothness
+
 
 class LeastSquaresObjective(_AffineLoss):
     """f(x) = scale * ||Ax - b||^2 + ridge * ||x||^2, scale = 1/N by default."""
 
-    _smoothness = None
+    _curvature = 2.0
 
     def _image_of(self, x):
         return self.A @ x - self.b
@@ -132,16 +148,6 @@ class LeastSquaresObjective(_AffineLoss):
         return 2.0 * self.scale * (self.A.T @ self._image(x)) + (
             2.0 * self.ridge
         ) * x
-
-    @property
-    def smoothness(self):
-        # 2*scale*||A||_2^2 (+ ridge curvature), top eigenvalue by power iteration
-        if self._smoothness is None:
-            top = power_iteration(
-                lambda v: self.A.T @ (self.A @ v), self.A.shape[1]
-            )
-            self._smoothness = 2.0 * self.scale * top + 2.0 * self.ridge
-        return self._smoothness
 
 
 # A tall design of at least this many entries (1 MiB of float64) is solved in
@@ -184,8 +190,12 @@ class LogisticObjective(_AffineLoss):
     """f(x) = scale * sum_i log(1 + exp(-b_i a_i'x)) + ridge * ||x||^2.
 
     Labels must be in {-1, +1}.  All exponentials go through logaddexp /
-    expit, so values and gradients stay finite for any finite x.
+    expit, so values and gradients stay finite for any finite x.  The
+    logistic loss has second derivative at most 1/4, so ``smoothness`` is
+    scale * ||A||_2^2 / 4 + 2 * ridge.
     """
+
+    _curvature = 0.25
 
     def __init__(self, A, b, scale=None, ridge=0.0):
         super().__init__(A, b, scale=scale, ridge=ridge)

@@ -60,8 +60,8 @@ def battery(seed=0, max_iter=60):
 
     solve: QP, LS and logistic x Zero, Nonnegative, Lasso, ElasticNet x the
     4 methods x 3 line-search modes x max_backtracks {60, 0} x both stop
-    rules; a run whose config the method rejects (pg-fixed or FISTA without
-    a stepsize on logistic) is digested as its error's type name.
+    rules; a run whose config the method rejects is digested as its error's
+    type name.
     solve_consensus: LS and logistic splits over {1, 3, 7} nodes x the 4
     modes x 3 line-search modes x both stop rules.  eps_tol is 1e-8, so most
     runs reach max_iter or a failure status.

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+import vmpg.consensus
+import vmpg.solver
 from vmpg.consensus import (
     MODES,
     ConsensusProblem,
@@ -571,3 +573,44 @@ class TestSharedDriver:
             assert [record_digest(r, drop=("bytes_exchanged",)) for r in got.trace] == [
                 record_digest(r) for r in want.trace
             ]
+
+
+class TestLayerBoundaries:
+    """A tracer measures the consensus layers from outside, by replacing the
+    module attributes vmpg.consensus.consensus_round, vmpg.consensus.Consensus
+    and vmpg.solver.line_search; a solve must still reach each through them."""
+
+    def test_rounds_prox_and_line_search_go_through_the_module(self, monkeypatch):
+        rounds, built, prox_owners, searches = [], [], [], []
+        round_fn, search = vmpg.consensus.consensus_round, vmpg.solver.line_search
+        prox = Consensus.prox
+
+        def build(n_blocks):
+            built.append(Consensus(n_blocks))
+            return built[-1]
+
+        monkeypatch.setattr(vmpg.consensus, "consensus_round",
+                            lambda *args: rounds.append(1) or round_fn(*args))
+        monkeypatch.setattr(vmpg.consensus, "Consensus", build)
+        monkeypatch.setattr(Consensus, "prox", lambda self, v, metric:
+                            prox_owners.append(self) or prox(self, v, metric))
+        monkeypatch.setattr(vmpg.solver, "line_search",
+                            lambda *args: searches.append(1) or search(*args))
+        config = SolverConfig(line_search="monotone", mu=1e-6, max_iter=40)
+        backtracks = 0
+        for loss in ("ls", "logistic"):
+            problem = split_regression(generate_regression(90, 6, loss, 4), 5, 1e-2)
+            for mode in MODES:
+                for log in (rounds, built, prox_owners, searches):
+                    log.clear()
+                res = vmpg.consensus.solve_consensus(problem, np.zeros(6), mode, config)
+                assert res.status in (MAX_ITER, CONVERGED)
+                tried = sum(r.backtracks for r in res.trace)
+                assert len(rounds) == res.iterations - 1  # the warm-up is no round
+                assert len(built) == 1
+                assert len(prox_owners) == res.iterations + tried
+                assert all(g is built[0] for g in prox_owners)
+                # backtracks rescale the metric inside one line_search call
+                assert len(searches) == res.iterations
+                backtracks += tried
+        assert backtracks > 0

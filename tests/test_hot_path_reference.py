@@ -7,8 +7,15 @@ constructors, ``QuadraticObjective.value``, ``Consensus.prox`` and the
 one-pass ``_StackedLeastSquares._image_of``.  ``reference_path`` installs
 them in place of the current ones; the digest battery must not tell the two
 apart.
+
+A second generation of references keeps the consensus round as it stood
+before the node pass kept its own buffers and a solve built its stacked
+objective, prox and byte count once: ``allocating_image_of``,
+``rebuilding_round`` and ``rebuilding_solve``.  They are compared with the
+current code on a consensus problem shaped like the benchmark's.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -17,23 +24,39 @@ import pytest
 import vmpg.consensus
 import vmpg.solver
 import vmpg.stepsize
-from vmpg.consensus import ConsensusProblem, _Stacked, _StackedLeastSquares, _node_bb
+from vmpg.consensus import (
+    MODES,
+    ConsensusProblem,
+    ConsensusResult,
+    ConsensusTraceRecord,
+    _Stacked,
+    _StackedLeastSquares,
+    _node_bb,
+    consensus_metric,
+    solve_consensus,
+    split_regression,
+)
 from vmpg.core import METRIC_FLOOR, DiagonalMetric, NumericalError
-from vmpg.problems import LeastSquaresObjective, QuadraticObjective
+from vmpg.problems import LeastSquaresObjective, QuadraticObjective, generate_regression
 from vmpg.prox import Consensus
 from vmpg.solver import (
+    LINE_SEARCH_MODES,
     FistaState,
     LineSearchError,
+    SolverConfig,
     SolverState,
     TraceRecord,
+    _advance,
     _g_at_prox,
+    _iterate,
     _reference_value,
     _resolve_fixed_stepsize,
+    _warmup,
     proximal_step,
 )
 from vmpg.stepsize import StepPair, StepsizeState, _guard_pair
 
-from digests import battery, bits
+from digests import battery, bits, digest
 
 # Runs that diverge without backtracking overflow before they end in
 # numerical-failure, and some BB pairs divide by zero on purpose.
@@ -336,3 +359,119 @@ def test_the_node_pass_alternates_its_order_and_keeps_its_bits(row_major):
         assert bits(squares) == bits(want_squares)
         assert bits(grads) == bits(want_grads)
     assert starts == [2, 0] * 4
+
+
+def allocating_image_of(self, x):
+    """The node pass with fresh buffers on every call and np.matmul on every
+    layout; successive passes alternate their node order."""
+    nodes = vars(self).get("_allocating_nodes")
+    if nodes is None:
+        ends = np.cumsum([f.A.shape[0] for f in self.objectives]).tolist()
+        nodes = self._allocating_nodes = [
+            (j, f.A, f.A.T, f.b, slice(a, b))
+            for j, (f, a, b) in enumerate(zip(self.objectives, [0] + ends[:-1], ends))
+        ]
+    nodes.reverse()
+    residual = np.empty(sum(f.A.shape[0] for f in self.objectives))
+    squares = np.empty(len(nodes))
+    grads = np.empty((len(nodes), self.block_dim))
+    xb = self._blocks(x)
+    for j, A, At, b, rows in nodes:
+        r = residual[rows]
+        np.matmul(A, xb[j], out=r)
+        r -= b
+        squares[j] = r.dot(r)
+        np.matmul(At, r, out=grads[j])
+    return squares, grads
+
+
+def rebuilding_with_bytes(step, problem):
+    state, record = step
+    return state, ConsensusTraceRecord(
+        **vars(record), bytes_exchanged=problem.bytes_per_round()
+    )
+
+
+def rebuilding_round(problem, state, mode="local-dbb", config=None):
+    """consensus_round building its stacked objective and prox every round."""
+    config = config or SolverConfig()
+    f = problem.stacked()
+    g = Consensus(problem.n_nodes)
+    pair = StepPair._trusted(state.x - state.x_prev, state.grad - state.grad_prev)
+    metric, alpha = consensus_metric(
+        pair, mode, config, state.stepsize_state, problem.n_nodes
+    )
+    return rebuilding_with_bytes(
+        _advance(f, g, state, metric, alpha, _reference_value(state, config), config),
+        problem,
+    )
+
+
+def rebuilding_solve(problem, x0, mode, config):
+    """solve_consensus driving rebuilding_round."""
+    f = problem.stacked()
+    g = Consensus(problem.n_nodes)
+    x, f_x, trace, status = _iterate(
+        f, g, np.tile(x0, problem.n_nodes), config,
+        lambda x: rebuilding_with_bytes(_warmup(f, g, x, config), problem),
+        lambda state: rebuilding_round(problem, state, mode, config),
+    )
+    return ConsensusResult(x[:problem.dim].copy(), status, trace, len(trace), f_x)
+
+
+def _relaid(A, j):
+    """A copy of A's values in one of four layouts that are not row-major."""
+    m, n = A.shape
+    if j % 4 == 0:
+        return np.asfortranarray(A)
+    if j % 4 == 1:
+        big = np.zeros((2 * m, n))
+        big[::2] = A
+        return big[::2]  # every other row
+    if j % 4 == 2:
+        big = np.zeros((m, 2 * n))
+        big[:, ::2] = A
+        return big[:, ::2]  # every other column
+    big = np.zeros((m, n + 7))
+    big[:, :n] = A
+    return big[:, :n]  # rows of a wider matrix
+
+
+def benchmark_shaped(row_major):
+    """The benchmark's consensus instance at half its rows: a 2000 x 100
+    least-squares design split over 20 nodes of 9 to 191 rows."""
+    problem = split_regression(generate_regression(2000, 100, "ls", 11), 20, 1e-2)
+    if row_major:
+        return problem
+    nodes = [LeastSquaresObjective(_relaid(f.A, j), f.b, f.scale, f.ridge)
+             for j, f in enumerate(problem.objectives)]
+    return ConsensusProblem(nodes, problem.dim)
+
+
+@pytest.mark.parametrize("row_major", [True, False])
+def test_benchmark_shaped_rounds_match_the_rebuilding_reference(row_major, monkeypatch):
+    problem = benchmark_shaped(row_major)
+    rows = [f.A.shape[0] for f in problem.objectives]
+    assert len(rows) == 20 and {r % 4 for r in rows} == {0, 1, 2, 3}
+    assert all(f.A.flags.c_contiguous == row_major for f in problem.objectives)
+    f = problem.stacked()
+    assert type(f) is _StackedLeastSquares
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        x = rng.standard_normal(f.dim)
+        squares, grads = f._image_of(x)
+        want_squares, want_grads = allocating_image_of(f, x)
+        assert bits(squares) == bits(want_squares)
+        assert bits(grads) == bits(want_grads)
+    x0 = np.zeros(problem.dim)
+    backtracks = 0
+    for mode, ls_mode in itertools.product(MODES, LINE_SEARCH_MODES):
+        config = SolverConfig(mu=1.0, line_search=ls_mode, eps_tol=1e-12, max_iter=6)
+        got = solve_consensus(benchmark_shaped(row_major), x0, mode, config)
+        with monkeypatch.context() as patched:
+            patched.setattr(_StackedLeastSquares, "_image_of", allocating_image_of)
+            want = rebuilding_solve(benchmark_shaped(row_major), x0, mode, config)
+        assert digest(got) == digest(want)
+        assert got.iterations == 6
+        backtracks += sum(r.backtracks for r in got.trace)
+    assert backtracks > 0

@@ -176,6 +176,23 @@ class TestObjectives:
         expected = 2.0 * (1.0 / 25) * top + 0.6
         np.testing.assert_allclose(f.smoothness, expected, rtol=1e-9)
 
+    def test_logistic_smoothness_bounds_the_hessian(self, monkeypatch):
+        prob = generate_regression(n_samples=200, dim=20, loss="logistic", seed=0)
+        calls = []
+        monkeypatch.setattr(problems, "power_iteration",
+                            lambda *args: calls.append(1) or power_iteration(*args))
+        f = LogisticObjective(prob.A, prob.b, ridge=0.3)
+        assert calls == []  # computed on first use ...
+        top = np.linalg.eigvalsh(prob.A.T @ prob.A)[-1]
+        np.testing.assert_allclose(f.smoothness, f.scale * top / 4 + 0.6, rtol=1e-9)
+        assert f.smoothness == f.smoothness and calls == [1]  # ... and kept
+        rng = np.random.default_rng(31)
+        for scale in (0.0, 1.0, 10.0):
+            t = prob.b * (prob.A @ (scale * rng.standard_normal(20)))
+            curvature = expit(t) * expit(-t)  # at most 1/4, at t = 0
+            hessian = f.scale * (prob.A.T * curvature) @ prob.A + 0.6 * np.eye(20)
+            assert np.linalg.eigvalsh(hessian)[-1] <= f.smoothness * (1 + 1e-9)
+
     @pytest.mark.parametrize("loss", ["ls", "logistic"])
     def test_finite_difference_gradients(self, loss):
         prob = generate_regression(n_samples=30, dim=7, loss=loss, seed=14)
@@ -414,7 +431,7 @@ class TestSharedAffineImage:
     def test_solve_traces_match_the_reference(self, loss, method):
         f, ref = objective_pair(loss, n_samples=80, dim=12, seed=27)
         config = SolverConfig(method=method, eps_tol=1e-8, max_iter=300)
-        if method == "fista" and loss == "ls":
+        if method == "fista":
             ref.smoothness = f.smoothness
         got = solve(f, Lasso(0.01), np.zeros(f.dim), config)
         want = solve(ref, Lasso(0.01), np.zeros(f.dim), config)

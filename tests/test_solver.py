@@ -315,6 +315,25 @@ class TestFista:
             fista(f, Zero(), np.zeros(1), config=SolverConfig(method="fista", line_search="off"))
 
 
+class TestLogisticStepsize:
+    """pg-fixed and FISTA take 1/L from a logistic objective's smoothness."""
+
+    @pytest.mark.parametrize("method, ls_mode", [
+        ("pg-fixed", "nonmonotone"), ("pg-fixed", "monotone"), ("pg-fixed", "off"),
+        ("fista", "nonmonotone"), ("fista", "off"),
+    ])
+    def test_runs_from_one_over_l(self, method, ls_mode):
+        f = smooth_part(generate_regression(200, 20, "logistic", 0))
+        g = Lasso(1e-3)
+        res = solve(f, g, np.zeros(20), SolverConfig(method=method, line_search=ls_mode,
+                                                     max_iter=3000))
+        assert res.status == CONVERGED
+        assert res.final_objective < composite_value(f, g, np.zeros(20))
+        first = res.trace[method == "pg-fixed"]  # after pg-fixed's warm-up step
+        assert first.backtracks == 0  # 1/L passes every sufficient-decrease test
+        assert first.u_min == first.u_max == pytest.approx(f.smoothness, rel=1e-15)
+
+
 class TestConfigValidation:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):

@@ -107,6 +107,68 @@ class TestBitwiseEqualToTheLoop:
             assert bits(f.gradient(x)) == bits(loop.gradient(x))
 
 
+
+    def test_single_row_and_single_column_designs(self):
+        """np.dot multiplies a 1 x 1 design by a scalar, keeping the sign of
+        -0.0 that np.matmul's sum from +0.0 drops; such nodes keep matmul."""
+        rng = np.random.default_rng(6)
+        nodes = [LeastSquaresObjective(A, np.zeros(A.shape[0]), ridge=0.1)
+                 for A in (rng.standard_normal((1, 1)), rng.standard_normal((4, 1)),
+                           np.array([[2.0]]), np.array([[-3.0]]))]
+        problem = ConsensusProblem(nodes, 1)
+        f, loop = problem.stacked(), loop_of(problem)
+        assert type(f) is _StackedLeastSquares
+        for x in (np.full(4, -0.0), np.array([-0.0, 0.0, -0.0, 0.0]),
+                  rng.standard_normal(4)):
+            assert bits(f.gradient(x)) == bits(loop.gradient(x))
+            assert bits(f.value(x)) == bits(loop.value(x))
+
+class TestOwnBuffers:
+    """The stack evaluates into point, residual and gradient buffers it keeps
+    from pass to pass; no caller may see them change."""
+
+    def test_a_pass_that_raises_leaves_no_memo_behind(self):
+        problem = shards(*SHAPES["20-nodes"])
+        f, loop = problem.stacked(), loop_of(problem)
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(f.dim), rng.standard_normal(f.dim)
+        assert bits(f.value(x)) == bits(loop.value(x))  # the memo now holds x
+
+        def fail(*args, **kwargs):
+            raise FloatingPointError("node product failed")
+
+        middle = f._nodes[10]
+        f._nodes[10] = (middle[0], fail, *middle[2:])
+        with pytest.raises(FloatingPointError):
+            f.gradient(y)  # overwrites about half of the buffers, then raises
+        f._nodes = [middle if node[1] is fail else node for node in f._nodes]
+        for point in (x, y):
+            assert bits(f.value(point)) == bits(loop.value(point))
+            assert bits(f.gradient(point)) == bits(loop.gradient(point))
+
+    def test_a_returned_gradient_never_changes(self):
+        problem = shards(*SHAPES["20-nodes"])
+        f = problem.stacked()
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(f.dim)
+        grad = f.gradient(x)
+        kept = grad.copy()
+        for _ in range(3):
+            y = rng.standard_normal(f.dim)
+            f.value(y), f.gradient(y)
+        assert bits(grad) == bits(kept)
+
+    def test_two_problems_never_share_buffers(self):
+        first, second = shards(*SHAPES["20-nodes"]), shards(*SHAPES["20-nodes"])
+        f, h, loop = first.stacked(), second.stacked(), loop_of(first)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal(f.dim), rng.standard_normal(f.dim)
+        value = f.value(x)
+        h.value(y), h.gradient(y)  # a pass of the other stack ...
+        assert bits(f.gradient(x)) == bits(loop.gradient(x))  # ... leaves f's memo
+        assert bits(f.value(x)) == bits(value)
+
+
 def _quadratic(dim, c):
     return QuadraticObjective(c * np.eye(dim), np.ones(dim), 0.0)
 
