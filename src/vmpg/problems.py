@@ -61,8 +61,26 @@ class _PointMemo(SmoothObjective):
         return self._image_value
 
 
+# A matrix of at least this many entries (1 MiB of float64) is large: a tall
+# least-squares design that large is solved in its Gram form, and a symmetric
+# Q that large is applied through one triangle.  The README records the
+# timings behind the constant.
+_GRAM_MIN_SIZE = 2**17
+
+
 class QuadraticObjective(_PointMemo):
-    """f(x) = (1/2) x'Qx + q'x + p with symmetric Q; value and gradient share Q @ x."""
+    """f(x) = (1/2) x'Qx + q'x + p with symmetric Q; value and gradient share Q @ x.
+
+    How Q is applied is decided once, at construction.  A C- or F-contiguous
+    Q of at least _GRAM_MIN_SIZE entries that equals its transpose exactly
+    is applied by BLAS dsymv, which reads one triangle of Q (half the bytes
+    of Q @ x, and within rounding of it) through a column-major view; the
+    first such Q imports scipy.linalg.  Every other Q is applied as Q @ x.
+    On the dsymv path the view is bound at construction, so Q must not be
+    replaced or changed in place afterwards.
+    """
+
+    _triangle = None  # column-major view of a large symmetric Q, else None
 
     def __init__(self, Q, q, p=0.0, strong_convexity=None, smoothness=None):
         self.Q = np.asarray(Q, dtype=float)
@@ -71,13 +89,24 @@ class QuadraticObjective(_PointMemo):
         self.strong_convexity = strong_convexity
         self.smoothness = smoothness
         self._minimizer = None
+        Q = self.Q
+        if (Q.size >= _GRAM_MIN_SIZE and (Q.flags.c_contiguous or Q.flags.f_contiguous)
+                and np.array_equal(Q, Q.T)):
+            from scipy.linalg.blas import dsymv
+
+            self._dsymv = dsymv
+            self._triangle = Q if Q.flags.f_contiguous else Q.T
 
     @property
     def dim(self):
         return self.q.shape[0]
 
     def _image_of(self, x):
-        return self.Q @ x
+        if self._triangle is None:
+            return self.Q @ x
+        if x.shape != self.q.shape:  # dsymv would read a prefix of a longer x
+            raise ValueError(f"point has shape {x.shape}, expected {self.q.shape}")
+        return self._dsymv(1.0, self._triangle, x)
 
     def value(self, x):
         return 0.5 * float(x.dot(self._image(x))) + float(self.q.dot(x)) + self.p
@@ -150,20 +179,17 @@ class LeastSquaresObjective(_AffineLoss):
         ) * x
 
 
-# A tall design of at least this many entries (1 MiB of float64) is solved in
-# its Gram form; the README records the timings behind the constant.
-_GRAM_MIN_SIZE = 2**17
-
-
 def _least_squares(A, b, scale=None, ridge=0.0):
     """scale * ||Ax - b||^2 + ridge * ||x||^2 in the cheaper of two exact forms.
 
     A tall design (N >= n) with at least _GRAM_MIN_SIZE entries gives the
     quadratic (1/2) x'Qx + q'x + p with Q = 2(scale A'A + ridge I),
     q = -2 scale A'b and p = scale b'b: one n x n product per value/gradient
-    pair instead of two N x n products, for n^2 more floats.  Its value has
-    an absolute rounding error of about eps * scale * ||b||^2, so near a zero
-    residual it can dip just below 0.  Any other design keeps the residual
+    pair instead of two N x n products, for n^2 more floats.  Q is exactly
+    symmetric, so a large one is applied through one triangle, and its
+    smoothness is its top eigenvalue by eigvalsh.  Its value has an absolute
+    rounding error of about eps * scale * ||b||^2, so near a zero residual
+    it can dip just below 0.  Any other design keeps the residual
     form, LeastSquaresObjective.
     """
     A = np.asarray(A, dtype=float)
@@ -182,7 +208,7 @@ def _least_squares(A, b, scale=None, ridge=0.0):
         q,
         scale * float(b @ b),
         strong_convexity=2.0 * ridge if ridge > 0 else None,
-        smoothness=power_iteration(lambda v: Q @ v, n_cols),
+        smoothness=float(np.linalg.eigvalsh(Q)[-1]),
     )
 
 

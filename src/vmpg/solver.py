@@ -246,6 +246,11 @@ def _resolve_fixed_stepsize(f, config):
     )
 
 
+def _fixed_metric(f, config, dim):
+    """The validated metric I / stepsize of pg-fixed; ValueError if it is bad."""
+    return DiagonalMetric.uniform(dim, 1.0 / _resolve_fixed_stepsize(f, config))
+
+
 def _advance(f, g, state, metric, alpha, f_ref, config):
     """The forward-backward update from x^k under the metric a rule chose.
 
@@ -288,13 +293,13 @@ def vmpg_step(f, g, state, config):
     (x^k - x^{k-1}, grad change), then backtracked until the nonmonotone
     criterion accepts.  Raises LineSearchError after max_backtracks and
     NumericalError when the step pair or a candidate objective is NaN.
+    pg-fixed's metric is built and validated on each call; ``solve`` builds
+    it once per run.
     """
     ss = state.stepsize_state
     alpha = ss.prev_alpha
     if config.method == "pg-fixed":
-        metric = DiagonalMetric.uniform(
-            state.x.shape[0], 1.0 / _resolve_fixed_stepsize(f, config)
-        )
+        metric = _fixed_metric(f, config, state.x.shape[0])
     elif config.method in ("vmpg-dbb", "pg-bb"):
         pair = StepPair._trusted(state.x - state.x_prev, state.grad - state.grad_prev)
         if config.method == "vmpg-dbb":
@@ -458,6 +463,13 @@ def solve(f, g, x0, config=None):
         metric = DiagonalMetric.uniform(x0.shape[0], 1.0 / alpha)
         start = lambda x: (FistaState(x, x, x, 1.0, alpha, metric, x, None, 0), None)
         step = lambda state: _fista_step(f, g, state, config)
+    elif config.method == "pg-fixed":
+        # vmpg_step's pg-fixed rule with its metric built once, before the
+        # warm-up: every iteration starts its line search from it
+        metric = _fixed_metric(f, config, x0.shape[0])
+        start = lambda x: _warmup(f, g, x, config)
+        step = lambda state: _advance(f, g, state, metric, state.stepsize_state.prev_alpha,
+                                      _reference_value(state, config), config)
     else:
         start = lambda x: _warmup(f, g, x, config)
         step = lambda state: vmpg_step(f, g, state, config)

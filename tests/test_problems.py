@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsymv
 from scipy.special import expit
 
 from vmpg.consensus import ConsensusProblem, solve_consensus, split_regression
@@ -475,25 +476,42 @@ class ReferenceQuadratic(SmoothObjective):
     def dim(self):
         return self.q.shape[0]
 
+    def product(self, x):
+        return self.Q @ x
+
     def value(self, x):
-        return 0.5 * float(x @ (self.Q @ x)) + float(self.q @ x) + self.p
+        return 0.5 * float(x @ self.product(x)) + float(self.q @ x) + self.p
 
     def gradient(self, x):
-        return self.Q @ x + self.q
+        return self.product(x) + self.q
+
+
+def column_major(Q):
+    """Q, or its transpose if that is the column-major one: what dsymv reads."""
+    return Q if Q.flags.f_contiguous else Q.T
+
+
+class SymvQuadratic(ReferenceQuadratic):
+    """Memo-free quadratic: every call applies Q by a direct dsymv call."""
+
+    def product(self, x):
+        return dsymv(1.0, column_major(self.Q), x)
 
 
 def quadratic_pair(kind, seed=41):
-    """A QuadraticObjective and its memo-free reference: a QP, or a Gram-form LS."""
-    if kind == "qp":
-        prob = generate_qp(n=100, kappa=1e4, seed=seed)
+    """A QuadraticObjective and its memo-free reference: a QP, a Gram-form LS,
+    or a QP whose Q is large enough (>= 1 MiB) to be applied by dsymv."""
+    if kind in ("qp", "qp-400"):
+        prob = generate_qp(n=100 if kind == "qp" else 400, kappa=1e4, seed=seed)
         f = QuadraticObjective(prob.Q, prob.q, prob.p, smoothness=prob.smoothness)
     else:
         f = smooth_part(generate_regression(n_samples=2048, dim=64, loss="ls", seed=seed))
         assert isinstance(f, QuadraticObjective)
-    return f, ReferenceQuadratic(f.Q, f.q, f.p)
+    reference = SymvQuadratic if kind == "qp-400" else ReferenceQuadratic
+    return f, reference(f.Q, f.q, f.p)
 
 
-@pytest.mark.parametrize("kind", ["qp", "gram-ls"])
+@pytest.mark.parametrize("kind", ["qp", "gram-ls", "qp-400"])
 class TestSharedQuadraticImage:
     """value and gradient share Q @ x yet match the memo-free formulas bit for bit."""
 
@@ -584,6 +602,25 @@ def count_products(f, attr="A"):
     return matrix.count
 
 
+def log_points(f):
+    """Log (call, point bytes) of every f.value/f.gradient call, in order."""
+    points = []
+    for call in ("value", "gradient"):
+        def logged(x, _call=call, _inner=getattr(f, call)):
+            points.append((_call, x.tobytes()))
+            return _inner(x)
+        setattr(f, call, logged)
+    return points
+
+
+def value_repeats(points):
+    """Values taken at the point evaluated just before them, bit for bit."""
+    return sum(
+        call == "value" and bits == prev
+        for (call, bits), (_, prev) in zip(points[1:], points[:-1])
+    )
+
+
 def two_application_power_iteration(matvec, dim, max_iter=5000, tol=1e-12):
     """The two-application loop power_iteration replaced; returns (lam, iterations)."""
     rng = np.random.default_rng(0)
@@ -612,12 +649,7 @@ class TestOperatorApplications:
     ):
         f, _ = objective_pair(loss, n_samples=80, dim=12, seed=29)
         count = count_products(f)
-        points = []  # (kind, bits) of every value/gradient call, in order
-        for kind in ("value", "gradient"):
-            def logged(x, _kind=kind, _call=getattr(f, kind)):
-                points.append((_kind, x.tobytes()))
-                return _call(x)
-            setattr(f, kind, logged)
+        points = log_points(f)
         config = SolverConfig(
             method=method, eps_tol=1e-8, max_iter=300, line_search=line_search
         )
@@ -629,10 +661,7 @@ class TestOperatorApplications:
         # point.  A value at the point evaluated just before it costs
         # nothing: F(x0) always, and near the optimum a candidate that
         # repeats the previous point bit for bit.
-        repeats = sum(
-            kind == "value" and bits == prev
-            for (kind, bits), (_, prev) in zip(points[1:], points[:-1])
-        )
+        repeats = value_repeats(points)
         assert result.iterations > 5
         assert 1 <= repeats <= 3
         assert count[0] == 3 + sum(2 + r.backtracks for r in result.trace) - repeats
@@ -684,12 +713,7 @@ class TestQuadraticProducts:
         f, _ = quadratic_pair(kind, seed=29)
         g = Nonnegative() if kind == "qp" else Lasso(0.01)
         count = count_products(f, "Q")
-        points = []  # (kind, bits) of every value/gradient call, in order
-        for call in ("value", "gradient"):
-            def logged(x, _call=call, _inner=getattr(f, call)):
-                points.append((_call, x.tobytes()))
-                return _inner(x)
-            setattr(f, call, logged)
+        points = log_points(f)
         config = SolverConfig(
             method=method, eps_tol=1e-8, max_iter=300, line_search=line_search
         )
@@ -701,10 +725,7 @@ class TestQuadraticProducts:
         # candidate's product.  A value at the point evaluated just before it
         # costs nothing: F(x0) always, and near the optimum a candidate that
         # repeats the previous point bit for bit.
-        repeats = sum(
-            call == "value" and bits == prev
-            for (call, bits), (_, prev) in zip(points[1:], points[:-1])
-        )
+        repeats = value_repeats(points)
         assert result.iterations > 5
         assert 1 <= repeats <= 3
         assert count[0] == 2 + sum(1 + r.backtracks for r in result.trace) - repeats
@@ -719,6 +740,117 @@ class TestQuadraticProducts:
         )
         assert result.iterations > 5
         assert count[0] <= sum(2 + r.backtracks for r in result.trace)
+
+
+def large_quadratic(kind, seed):
+    """A quadratic whose Q is symmetric and at least 1 MiB: a QP (Q row- or
+    column-major), or the Gram form of the benchmark's lasso-ls design."""
+    if kind.startswith("qp-400"):
+        prob = generate_qp(n=400, kappa=1e4, seed=seed)
+        Q = np.asfortranarray(prob.Q) if kind.endswith("fortran") else prob.Q
+        return QuadraticObjective(Q, prob.q, prob.p, smoothness=prob.smoothness)
+    f = smooth_part(generate_regression(n_samples=2000, dim=500, loss="ls", seed=seed))
+    assert isinstance(f, QuadraticObjective)
+    return f
+
+
+class TestSymmetricProduct:
+    """A large, contiguous, exactly symmetric Q is applied by dsymv; every
+    other Q keeps the bits of Q @ x."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["qp-400", "qp-400-fortran", "lasso-ls"])
+    def test_large_symmetric_q_is_applied_by_dsymv(self, kind, seed):
+        f = large_quadratic(kind, seed)
+        assert f.Q.flags.f_contiguous == kind.endswith("fortran")
+        x = np.random.default_rng(60 + seed).standard_normal(f.dim)
+        symv = dsymv(1.0, column_major(f.Q), x)
+        assert same_bits(f.gradient(x), symv + f.q)
+        assert same_bits(f.value(x), 0.5 * float(x.dot(symv)) + float(f.q.dot(x)) + f.p)
+        # within the rounding bound of a product, n eps |Q| |x|, of Q @ x,
+        # and not its bits, so the checks above tell the two paths apart
+        gemv = f.Q @ x
+        eps = np.finfo(float).eps
+        bound = f.dim * eps * np.linalg.norm(f.Q) * np.linalg.norm(x)
+        assert np.linalg.norm(symv - gemv) <= bound
+        assert not same_bits(symv, gemv)
+
+    @pytest.mark.parametrize("case", ["asymmetric", "strided", "below-1-mib"])
+    def test_other_q_keeps_the_gemv_bits(self, case):
+        prob = generate_qp(n=362 if case == "below-1-mib" else 400, kappa=1e4, seed=3)
+        Q = prob.Q
+        if case == "asymmetric":
+            Q = Q.copy()
+            Q[0, 1] += 1e-9
+        elif case == "strided":
+            wide = np.zeros((400, 800))
+            wide[:, ::2] = Q
+            Q = wide[:, ::2]  # symmetric, 1.2 MiB, neither C- nor F-contiguous
+        f = QuadraticObjective(Q, prob.q, prob.p)
+        x = np.random.default_rng(63).standard_normal(f.dim)
+        gemv = Q @ x
+        assert not same_bits(dsymv(1.0, np.asfortranarray(Q), x), gemv)
+        assert same_bits(f.gradient(x), gemv + prob.q)
+        assert same_bits(f.value(x), 0.5 * float(x.dot(gemv)) + float(prob.q.dot(x)) + prob.p)
+
+    def test_point_of_another_shape_is_rejected(self):
+        f = large_quadratic("qp-400", 4)
+        for x in (np.ones(401), np.ones((400, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                f.gradient(x)
+
+    @pytest.mark.parametrize("line_search", ["nonmonotone", "monotone"])
+    @pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb"])
+    def test_variable_metric_methods_use_one_product_per_candidate(self, method, line_search):
+        f = large_quadratic("qp-400", 29)
+        calls = [0]
+
+        def counting_dsymv(*args, _inner=f._dsymv):
+            calls[0] += 1
+            return _inner(*args)
+
+        f._dsymv = counting_dsymv
+        gemv_calls = count_products(f, "Q")  # the triangle is bound: never used
+        points = log_points(f)
+        config = SolverConfig(
+            method=method, eps_tol=1e-8, max_iter=300, line_search=line_search
+        )
+        result = solve(f, Nonnegative(), np.zeros(f.dim), config)
+        # as for a small quadratic (TestQuadraticProducts): grad(x0) and
+        # F(x0) share one product, then one per candidate point
+        repeats = value_repeats(points)
+        assert result.iterations > 5
+        assert repeats >= 1
+        assert gemv_calls[0] == 0
+        assert calls[0] == 2 + sum(1 + r.backtracks for r in result.trace) - repeats
+
+
+def test_scipy_linalg_loads_only_for_a_large_symmetric_q():
+    """Small QPs, residual-form and small Gram-form least squares run without
+    scipy.linalg; the first large symmetric Q imports it."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from vmpg import Lasso, Nonnegative, SolverConfig, solve\n"
+        "from vmpg.problems import (QuadraticObjective, generate_qp,\n"
+        "                           generate_regression, smooth_part)\n"
+        "runs = [(generate_qp(100, 1e4, 0), Nonnegative()),\n"
+        "        (generate_regression(1000, 50, 'ls', 0), Lasso(0.01)),\n"
+        "        (generate_regression(2048, 64, 'ls', 0), Lasso(0.01))]\n"
+        "for problem, g in runs:\n"
+        "    f = smooth_part(problem)\n"
+        "    for method in ('vmpg-dbb', 'fista'):\n"
+        "        solve(f, g, np.zeros(f.dim), SolverConfig(method=method, max_iter=50))\n"
+        "print(type(f).__name__, 'scipy.linalg' in sys.modules)\n"
+        "p = generate_qp(400, 1e4, 0)\n"
+        "QuadraticObjective(p.Q, p.q)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(problems.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == ["QuadraticObjective False", "True"]
 
 
 def form_pair(A, b, ridge=0.0):

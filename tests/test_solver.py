@@ -334,6 +334,36 @@ class TestLogisticStepsize:
         assert first.u_min == first.u_max == pytest.approx(f.smoothness, rel=1e-15)
 
 
+class TestFixedMetric:
+    """pg-fixed builds its validated metric I / stepsize once per solve."""
+
+    def test_one_validated_build_per_solve(self, monkeypatch):
+        f = smooth_part(generate_regression(200, 20, "logistic", 0))
+        built = []  # the diagonal of every validated metric
+        init = DiagonalMetric.__init__
+
+        def counting_init(self, diag):
+            built.append(np.array(diag))
+            init(self, diag)
+
+        monkeypatch.setattr(DiagonalMetric, "__init__", counting_init)
+        res = solve(f, Lasso(1e-3), np.zeros(20), SolverConfig(method="pg-fixed"))
+        assert res.status == CONVERGED and res.iterations > 100
+        # the fixed metric, before the warm-up, then the identity that starts
+        # the stepsize memory
+        assert len(built) == 2
+        assert np.all(built[0] == 1.0 / (1.0 / f.smoothness))
+        assert np.all(built[1] == 1.0)
+
+    @pytest.mark.parametrize("smoothness", [-1.0, math.nan])
+    def test_bad_smoothness_is_rejected_before_the_warm_up(self, smoothness):
+        f = quadratic([1.0, 4.0])
+        f.smoothness = smoothness
+        f.gradient = None  # any step would call it
+        with pytest.raises(ValueError, match="metric diagonal"):
+            solve(f, Zero(), np.ones(2), SolverConfig(method="pg-fixed"))
+
+
 class TestConfigValidation:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
