@@ -164,7 +164,8 @@ def _regularizer(spec, problem):
     if reg == "lasso":
         return Lasso(lam)
     if reg == "elastic-net":
-        return ElasticNet(lam, spec.get("lam2") or lam)
+        lam2 = spec.get("lam2")
+        return ElasticNet(lam, lam if lam2 is None else lam2)
     raise UsageError(f"unknown regularizer {reg!r}; choose from {REGULARIZERS}")
 
 

@@ -10,11 +10,20 @@ for a positive diagonal metric U in closed form.  A slow numeric oracle
 trusting them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DiagonalMetric, ProxRegularizer
+
+
+def _weight(name, value):
+    """value as a float; ValueError unless 0 < value < inf (so not NaN)."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value:g}")
+    return value
 
 
 class Zero(ProxRegularizer):
@@ -39,9 +48,7 @@ class Lasso(ProxRegularizer):
     separable = True
 
     def __init__(self, lam):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        self.lam = float(lam)
+        self.lam = _weight("lam", lam)
 
     def value(self, x):
         return self.lam * float(np.abs(x).sum())
@@ -63,9 +70,7 @@ class GroupLasso(ProxRegularizer):
     """
 
     def __init__(self, lam, groups):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        self.lam = float(lam)
+        self.lam = _weight("lam", lam)
         self.groups = [(int(a), int(b)) for a, b in groups]
         for a, b in self.groups:
             if b <= a:
@@ -100,10 +105,8 @@ class ElasticNet(ProxRegularizer):
     separable = True
 
     def __init__(self, lam1, lam2):
-        if lam1 <= 0 or lam2 <= 0:
-            raise ValueError("lam1 and lam2 must be positive")
-        self.lam1 = float(lam1)
-        self.lam2 = float(lam2)
+        self.lam1 = _weight("lam1", lam1)
+        self.lam2 = _weight("lam2", lam2)
 
     def value(self, x):
         x = np.asarray(x)
@@ -136,18 +139,17 @@ class Nonnegative(ProxRegularizer):
 class Simplex(ProxRegularizer):
     """Indicator of the probability simplex {x >= 0, sum x = 1}.
 
-    The scaled projection is found by bisection on the pivot
-    h(nu) = sum_i max(x_i - nu/u_i, 0) - 1 over the bracket
-    [max_i u_i (x_i - 1), max_i u_i x_i].
+    The scaled projection is x = max(v - nu/U, 0) for the pivot nu that makes
+    sum x = 1.  Coordinate i is active exactly when nu < t_i = u_i v_i, so
+    with the t_i sorted in descending order the pivot on the top k is
+    nu_k = (sum_{i<=k} v_i - 1) / sum_{i<=k} 1/u_i, and the support is the
+    last k with t_(k) > nu_k (Duchi et al. 2008; Condat 2016, with weights).
     """
 
-    # prox outputs satisfy the constraints only to bisection accuracy, so the
-    # indicator accepts a matching slack instead of exact equality
+    # the projection meets sum x = 1 only up to the rounding of v - nu / u, so
+    # the indicator accepts a slack instead of exact equality
     feas_tol = 1e-9
-
-    def __init__(self, tol=1e-12, max_iter=200):
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
+    prox_value = 0.0  # the projection is in the simplex by construction
 
     def value(self, x):
         x = np.asarray(x)
@@ -158,42 +160,13 @@ class Simplex(ProxRegularizer):
     def prox(self, v, metric):
         u = metric.diag
         v = np.asarray(v, dtype=float)
-
-        def pivot(nu):
-            return float(np.sum(np.maximum(v - nu / u, 0.0))) - 1.0
-
-        lo = float(np.max(u * (v - 1.0)))
-        hi = float(np.max(u * v))
-        h_lo = pivot(lo)
-        if abs(h_lo) <= self.tol:
-            return np.maximum(v - lo / u, 0.0)
-        nu = hi
-        for _ in range(self.max_iter):
-            nu = 0.5 * (lo + hi)
-            if not lo < nu < hi:  # adjacent floats: nu cannot get closer
-                break
-            h = pivot(nu)
-            if abs(h) <= self.tol:
-                break
-            if h > 0.0:  # pivot is nonincreasing in nu
-                lo = nu
-            else:
-                hi = nu
-            if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
-                nu = 0.5 * (lo + hi)
-                break
-        out = np.maximum(v - nu / u, 0.0)
-        gap = abs(float(np.sum(out)) - 1.0)
-        # each active v_i - nu / u_i rounds by about eps * (|v_i| + 1), so for
-        # large |v| no float nu brings the sum within tol of 1
-        active = np.abs(v[out > 0.0])
-        rounding = (len(v) + 2) * np.finfo(float).eps * (float(np.sum(active)) + 1.0)
-        if gap > 10.0 * self.tol + rounding:
-            raise RuntimeError(
-                f"simplex bisection did not converge: |sum - 1| = {gap:g} "
-                f"after {self.max_iter} iterations (bracket [{lo:g}, {hi:g}])"
-            )
-        return out
+        t = u * v
+        order = np.argsort(-t)
+        nu = (np.cumsum(v[order]) - 1.0) / np.cumsum(1.0 / u[order])
+        # t_(1) > nu_1 in exact arithmetic; the floor keeps rounding from
+        # emptying the support
+        k = max(np.count_nonzero(t[order] > nu), 1)
+        return np.maximum(v - nu[k - 1] / u, 0.0)
 
 
 class Consensus(ProxRegularizer):
@@ -302,10 +275,8 @@ class Scaled(ProxRegularizer):
     """g(x) = scale * phi(x) + offset;  prox_{g,U} = prox_{phi, U/scale}."""
 
     def __init__(self, inner, scale, offset=0.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
         self.inner = inner
-        self.scale = float(scale)
+        self.scale = _weight("scale", scale)
         self.offset = float(offset)
 
     @property

@@ -237,6 +237,8 @@ def _resolve_fixed_stepsize(f, config):
     if config.fixed_stepsize is not None:
         return float(config.fixed_stepsize)
     if f.smoothness is not None:
+        if f.smoothness == 0.0 or math.isinf(f.smoothness):  # 1/L or L*I divides by 0
+            raise ValueError(f"smoothness must be positive and finite, got {f.smoothness}")
         return 1.0 / f.smoothness
     if config.method == "fista" and config.line_search != "off":
         return 1.0

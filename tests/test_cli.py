@@ -326,6 +326,22 @@ class TestConfigAndEnvironment:
         assert "invalid solver limits" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("reg, weights", [
+        ("lasso", ["--lam", "nan"]),
+        ("lasso", ["--lam", "inf"]),
+        ("elastic-net", ["--lam", "1", "--lam2", "nan"]),
+        # an explicit --lam2 0 is checked, not replaced by --lam
+        ("elastic-net", ["--lam", "1", "--lam2", "0"]),
+    ])
+    def test_bad_regularizer_weight_is_usage_error(self, tmp_path, capsys, reg, weights):
+        code = main([
+            "bench", "--kind", "ls", "--n", "8", "--n-samples", "40", "--reg", reg,
+            *weights, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     @pytest.mark.parametrize("flag, value", [
         ("--eps-tol", "nan"), ("--eps-tol", "inf"), ("--beta", "nan"), ("--beta", "inf"),
     ])

@@ -17,6 +17,7 @@ from vmpg.prox import (
     Scaled,
     Simplex,
     Zero,
+    _oracle_simplex,
     moreau_check,
     numeric_prox_oracle,
 )
@@ -93,6 +94,20 @@ class TestElasticNet:
         np.testing.assert_array_equal(out, np.zeros(3))
 
 
+class TestWeights:
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("build", [
+        Lasso,
+        lambda w: GroupLasso(w, [(0, 2)]),
+        lambda w: ElasticNet(w, 1.0),
+        lambda w: ElasticNet(1.0, w),
+        lambda w: Scaled(Zero(), w),
+    ], ids=["lasso", "group-lasso", "elastic-net-lam1", "elastic-net-lam2", "scaled"])
+    def test_rejects_weights_that_are_not_positive_and_finite(self, build, weight):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            build(weight)
+
+
 class TestNonnegative:
     def test_clips_negative_coordinates(self):
         out = Nonnegative().prox(np.array([-1.0, 2.0]), metric([5.0, 0.5]))
@@ -121,8 +136,8 @@ class TestSimplex:
         np.testing.assert_allclose(out, [1.0], atol=1e-11)
 
     def test_large_entries_stop_at_float_accuracy(self):
-        """v - nu / u rounds by about 1e-12 here, more than tol: the bisection
-        stops at adjacent floats instead of raising."""
+        """v - nu / u rounds by about 1e-12 here; the output is 1/12 to that
+        accuracy."""
         out = Simplex().prox(np.full(12, 5166.0), metric(np.full(12, 203.0)))
         eps_v = np.finfo(float).eps * 5166.0
         np.testing.assert_allclose(out, np.full(12, 1.0 / 12.0), rtol=0, atol=12 * eps_v)
@@ -141,6 +156,46 @@ class TestSimplex:
             support = out > 0
             nus = u[support] * (v[support] - out[support])
             assert np.ptp(nus) <= 1e-8 if nus.size > 1 else True
+
+    @staticmethod
+    def adversarial_inputs():
+        """(v, u) with n = 1, u from e^-14 to e^14, |v| up to 1e8, and tied u_i v_i."""
+        rng = np.random.default_rng(13)
+        cases = [
+            (np.array([-1e8]), np.array([np.exp(-14.0)])),
+            (np.array([1e8]), np.array([np.exp(14.0)])),
+            (np.full(2, -1e8), np.full(2, np.exp(-10.0))),
+            (np.full(12, 5166.0), np.full(12, 203.0)),
+            (np.zeros(5), np.exp(np.linspace(-14.0, 14.0, 5))),
+        ]
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            u = np.exp(rng.uniform(-14.0, 14.0, n))
+            cases.append((rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 8.0), u))
+            # powers of two make every u_i v_i equal to t exactly
+            u = 2.0 ** rng.integers(-20, 21, n).astype(float)
+            t = rng.uniform(-1.0, 1.0) * 1e8 * u.min()
+            cases.append((t / u, u))
+        return cases
+
+    def test_adversarial_inputs_meet_kkt_and_the_oracle(self):
+        """Within rounding: feasible, x = max(v - nu/u, 0) for the pivot nu of
+        its own support, and as good as the enumeration oracle's point."""
+        eps = np.finfo(float).eps
+        for v, u in self.adversarial_inputs():
+            x = Simplex().prox(v, metric(u))
+            tol = 2.0 * (len(v) + 2) * eps * (float(np.sum(np.abs(v))) + 1.0)
+            assert np.all(x >= 0.0)
+            assert abs(float(np.sum(x)) - 1.0) <= tol
+            s = x > 0.0
+            nu = (np.sum(v[s]) - 1.0) / np.sum(1.0 / u[s])
+            assert np.max(np.abs(x - np.maximum(v - nu / u, 0.0))) <= tol
+            # the objective is flat to rounding here, so the oracle can pick
+            # another support (for v = -1e8 (1, 1) it returns (1, 0)); compare
+            # objectives, each off by at most tol sum u (|v| + 1)
+            ref = _oracle_simplex(v, u)
+            gap = 0.5 * float(np.sum(u * (x - v) ** 2) - np.sum(u * (ref - v) ** 2))
+            assert abs(gap) <= tol * float(np.sum(u * (np.abs(v) + 1.0)))
 
 
 class TestConsensus:

@@ -363,6 +363,17 @@ class TestFixedMetric:
         with pytest.raises(ValueError, match="metric diagonal"):
             solve(f, Zero(), np.ones(2), SolverConfig(method="pg-fixed"))
 
+    @pytest.mark.parametrize("method", ["pg-fixed", "fista"])
+    @pytest.mark.parametrize("smoothness", [0.0, math.inf])
+    def test_smoothness_with_no_stepsize_is_rejected_before_the_warm_up(self, method,
+                                                                       smoothness):
+        # 1/L is infinite or 0 here, and used to raise ZeroDivisionError
+        f = quadratic([1.0, 4.0])
+        f.smoothness = smoothness
+        f.gradient = None  # any step would call it
+        with pytest.raises(ValueError, match="smoothness must be positive and finite"):
+            solve(f, Zero(), np.ones(2), SolverConfig(method=method))
+
 
 class TestConfigValidation:
     def test_rejects_unknown_method(self):
@@ -445,13 +456,14 @@ class TestIndicatorProxValue:
     """Indicators whose prox is feasible by construction skip the membership test."""
 
     def test_declared_by_the_indicators_and_no_other_regularizer(self):
-        assert Zero.prox_value == Nonnegative.prox_value == Consensus.prox_value == 0.0
-        for g in (Simplex(), Lasso(1.0), ElasticNet(1.0, 1.0), Scaled(Nonnegative(), 2.0),
+        for g in (Zero, Nonnegative, Consensus, Simplex):
+            assert g.prox_value == 0.0
+        for g in (Lasso(1.0), ElasticNet(1.0, 1.0), Scaled(Nonnegative(), 2.0),
                   AffineAddition(Zero(), np.ones(3))):
             assert g.prox_value is None
 
-    @pytest.mark.parametrize("g", [Zero(), Nonnegative(), Consensus(3)],
-                             ids=["zero", "nonneg", "consensus"])
+    @pytest.mark.parametrize("g", [Zero(), Nonnegative(), Consensus(3), Simplex()],
+                             ids=["zero", "nonneg", "consensus", "simplex"])
     def test_prox_outputs_have_the_declared_value(self, g):
         rng = np.random.default_rng(0)
         for _ in range(20):
