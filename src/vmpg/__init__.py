@@ -18,16 +18,12 @@ from .stepsize import (
     hybrid_bb,
 )
 from .prox import (
-    AffineAddition,
     BlockSeparable,
     Consensus,
-    DiagonalAffineComposition,
     ElasticNet,
     GroupLasso,
     Lasso,
     Nonnegative,
-    QuadraticRegularized,
-    Scaled,
     Simplex,
     Zero,
     moreau_check,
@@ -62,7 +58,6 @@ from .problems import (
     generate_qp,
     generate_regression,
     load_csv,
-    power_iteration,
     precondition,
     smooth_part,
 )

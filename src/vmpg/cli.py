@@ -31,6 +31,7 @@ from .consensus import MODES, solve_consensus, split_regression
 from .problems import (
     QPProblem,
     RegressionProblem,
+    _default_lam,
     generate_qp,
     generate_regression,
     load_csv,
@@ -130,10 +131,6 @@ def _default_eps(kind):
     return 1e-2 if kind == "logistic" else 1e-4
 
 
-def _default_lam(kind):
-    return 1e-4 if kind == "logistic" else 1e-2
-
-
 def _build_problem(spec, seed):
     kind = spec["kind"]
     if spec.get("data") is not None:
@@ -144,7 +141,9 @@ def _build_problem(spec, seed):
     n = spec["n"]
     if kind == "qp":
         return generate_qp(n, spec["kappa"], seed)
-    n_samples = spec.get("n_samples") or max(2, int(round(0.2 * n)))
+    n_samples = spec.get("n_samples")
+    if n_samples is None:
+        n_samples = max(2, int(round(0.2 * n)))
     return generate_regression(
         n_samples, n, kind, seed, noise=spec.get("noise", 0.2), lam=spec.get("lam")
     )
@@ -577,6 +576,8 @@ def _assemble_spec(args):
     spec.setdefault("nodes", 10)
     if spec["nodes"] < 1:
         raise UsageError("--nodes must be >= 1")
+    if spec.get("n_samples", 1) < 1:
+        raise UsageError("--n-samples must be >= 1")
     if "out" not in spec:
         env_out = os.environ.get(ENV_OUT_DIR)
         if args.command == "gen" and not env_out:

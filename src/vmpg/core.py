@@ -130,13 +130,6 @@ class DiagonalMetric:
         """||z||_U = sqrt(z' U z)."""
         return math.sqrt(np.dot(self.diag * z, z))
 
-    def inner(self, a, b):
-        return float(np.dot(self.diag * a, b))
-
-    def scaled(self, factor):
-        """A new, validated metric factor * U."""
-        return DiagonalMetric(self.diag * factor)
-
     def __repr__(self):
         return f"DiagonalMetric(dim={self.dim}, u_min={self.u_min:g}, u_max={self.u_max:g})"
 
@@ -166,9 +159,6 @@ class BlockDiagonalMetric(DiagonalMetric):
 
     def block_slice(self, j):
         return slice(int(self.offsets[j]), int(self.offsets[j + 1]))
-
-    def scaled(self, factor):
-        return BlockDiagonalMetric([b.scaled(factor) for b in self.blocks])
 
     def __repr__(self):
         return f"BlockDiagonalMetric(blocks={self.n_blocks}, dim={self.dim})"

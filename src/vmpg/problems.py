@@ -16,30 +16,6 @@ import numpy as np
 from .core import SmoothObjective
 
 
-def power_iteration(matvec, dim, max_iter=5000, tol=1e-12):
-    """Largest eigenvalue of a symmetric PSD operator by power iteration.
-
-    The operator is applied once per iteration: the image of the normalized
-    iterate gives both the Rayleigh quotient and the next iteration's vector.
-    """
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    w = matvec(v)
-    for _ in range(max_iter):
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        w = matvec(v)
-        lam_next = float(np.dot(v, w))
-        if abs(lam_next - lam) <= tol * max(1.0, abs(lam_next)):
-            return lam_next
-        lam = lam_next
-    return lam
-
-
 class _PointMemo(SmoothObjective):
     """One-entry memo of ``_image_of(x)`` for the last point x seen.
 
@@ -152,11 +128,12 @@ class _AffineLoss(_PointMemo):
     @property
     def smoothness(self):
         # curvature * scale * ||A||_2^2 + 2 * ridge, ||A||_2^2 the top
-        # eigenvalue of A'A by power iteration; computed on first use
+        # eigenvalue of the smaller Gram matrix, A'A or AA', by eigvalsh;
+        # computed on first use
         if self._smoothness is None:
-            top = power_iteration(
-                lambda v: self.A.T @ (self.A @ v), self.A.shape[1]
-            )
+            A = self.A
+            gram = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
+            top = float(np.linalg.eigvalsh(gram)[-1])
             self._smoothness = self._curvature * self.scale * top + 2.0 * self.ridge
         return self._smoothness
 
@@ -344,6 +321,11 @@ def generate_qp(n, kappa, seed):
     )
 
 
+def _default_lam(kind):
+    """The regularizer weight a problem of this kind gets when none is given."""
+    return 1e-4 if kind == "logistic" else 1e-2
+
+
 def precondition(A, tol=1e-12):
     """Center columns to mean zero, then normalize them to unit l2 norm.
 
@@ -378,13 +360,11 @@ def generate_regression(n_samples, dim, loss, seed, noise=0.2, lam=None,
     x_star = rng.standard_normal(dim)
     if loss == "ls":
         b = A @ x_star + noise * rng.standard_normal(n_samples)
-        default_lam = 1e-2
     else:
         from scipy.special import expit
 
         y = expit(A @ x_star) + noise * rng.uniform(0.0, 1.0, n_samples)
         b = np.where(y >= 0.5, 1.0, -1.0)
-        default_lam = 1e-4
     zero_cols = []
     if preconditioned:
         A, zero_cols = precondition(A)
@@ -392,7 +372,7 @@ def generate_regression(n_samples, dim, loss, seed, noise=0.2, lam=None,
         A=A,
         b=b,
         loss=loss,
-        lam=default_lam if lam is None else float(lam),
+        lam=_default_lam(loss) if lam is None else float(lam),
         x_star=x_star,
         seed=seed,
         noise=noise,
@@ -425,6 +405,8 @@ def load_csv(path, label_column, loss="ls", lam=None, header="auto"):
     preconditioned.  Non-numeric or non-finite cells raise ValueError with
     their row and column.
     """
+    if loss not in ("ls", "logistic"):
+        raise ValueError(f"unknown loss {loss!r}")
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -486,13 +468,11 @@ def load_csv(path, label_column, loss="ls", lam=None, header="auto"):
     if loss == "logistic" and not np.all(np.isin(b, (-1.0, 1.0))):
         raise ValueError(f"{path}: logistic labels must be -1 or +1")
     A, zero_cols = precondition(A)
-    if lam is None:
-        lam = 1e-2 if loss == "ls" else 1e-4
     return RegressionProblem(
         A=A,
         b=b,
         loss=loss,
-        lam=float(lam),
+        lam=_default_lam(loss) if lam is None else float(lam),
         x_star=None,
         seed=None,
         noise=0.0,

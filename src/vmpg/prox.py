@@ -4,14 +4,16 @@ Every operator solves
 
     prox_{g,U}(v) = argmin_x  g(x) + (1/2) ||v - x||_U^2
 
-for a positive diagonal metric U in closed form.  A slow numeric oracle
-(`numeric_prox_oracle`) re-solves the same subproblem by independent means
-(1-D minimization, enumeration) so the closed forms can be checked without
-trusting them.
+for a positive diagonal metric U in closed form: the lasso, group lasso,
+elastic net, nonnegativity, simplex and consensus operators, and their sum
+over contiguous blocks (`BlockSeparable`).  There is no prox calculus
+(scaling, affine terms, compositions): nothing the solvers run needs one.
+A slow numeric oracle (`numeric_prox_oracle`) re-solves the same
+subproblem by independent means (1-D minimization, enumeration) so the
+closed forms can be checked without trusting them.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,26 +64,40 @@ class Lasso(ProxRegularizer):
 
 
 class GroupLasso(ProxRegularizer):
-    """g(x) = lam * sum_j ||x_j||_2 over contiguous groups.
+    """g(x) = lam * sum_j ||x_j||_2 over disjoint contiguous groups [a, b).
 
     The scaled prox is block soft thresholding; it requires the metric to be
     scalar within each group (u_j * I on group j), which is a contract
-    violation otherwise.
+    violation otherwise.  Groups must not overlap (the blockwise prox would
+    then not be the prox of the sum) and must lie inside the vector.
     """
 
     def __init__(self, lam, groups):
         self.lam = _weight("lam", lam)
         self.groups = [(int(a), int(b)) for a, b in groups]
-        for a, b in self.groups:
+        end = 0
+        for a, b in sorted(self.groups):
             if b <= a:
                 raise ValueError(f"empty group ({a}, {b})")
+            if a < end:
+                raise ValueError(
+                    f"group ({a}, {b}) starts before {end}; groups must be disjoint, from 0"
+                )
+            end = b
+        self._end = end
+
+    def _check_length(self, x):
+        if len(x) < self._end:
+            raise ValueError(f"groups end at {self._end}, past a vector of length {len(x)}")
 
     def value(self, x):
+        self._check_length(x)
         return self.lam * sum(
             float(np.linalg.norm(x[a:b])) for a, b in self.groups
         )
 
     def prox(self, v, metric):
+        self._check_length(v)
         u = metric.diag
         out = np.array(v, dtype=float)
         for a, b in self.groups:
@@ -268,99 +284,6 @@ def moreau_check(g, metric, x):
     return float(np.linalg.norm(x - primal - inv.apply(dual)))
 
 
-# --- calculus combinators ----------------------------------------------------
-
-
-class Scaled(ProxRegularizer):
-    """g(x) = scale * phi(x) + offset;  prox_{g,U} = prox_{phi, U/scale}."""
-
-    def __init__(self, inner, scale, offset=0.0):
-        self.inner = inner
-        self.scale = _weight("scale", scale)
-        self.offset = float(offset)
-
-    @property
-    def separable(self):
-        return self.inner.separable
-
-    def value(self, x):
-        return self.scale * self.inner.value(x) + self.offset
-
-    def prox(self, v, metric):
-        return self.inner.prox(v, metric.scaled(1.0 / self.scale))
-
-
-class AffineAddition(ProxRegularizer):
-    """g(x) = phi(x) + <a, x> + b;  prox shifts the point by U^{-1} a."""
-
-    def __init__(self, inner, a, b=0.0):
-        self.inner = inner
-        self.a = np.asarray(a, dtype=float)
-        self.b = float(b)
-
-    @property
-    def separable(self):
-        return self.inner.separable
-
-    def value(self, x):
-        return self.inner.value(x) + float(np.dot(self.a, x)) + self.b
-
-    def prox(self, v, metric):
-        return self.inner.prox(v - metric.apply_inverse(self.a), metric)
-
-
-class QuadraticRegularized(ProxRegularizer):
-    """g(x) = phi(x) + (1/2) ||x - a||_V^2 for a diagonal metric V.
-
-    prox_{g,U}(v) = prox_{phi, U+V}((U+V)^{-1} (U v + V a)).
-    """
-
-    def __init__(self, inner, a, v_metric):
-        self.inner = inner
-        self.a = np.asarray(a, dtype=float)
-        self.v_metric = v_metric
-
-    @property
-    def separable(self):
-        return self.inner.separable
-
-    def value(self, x):
-        return self.inner.value(x) + 0.5 * self.v_metric.norm(x - self.a) ** 2
-
-    def prox(self, v, metric):
-        combined = DiagonalMetric(metric.diag + self.v_metric.diag)
-        point = (metric.apply(v) + self.v_metric.apply(self.a)) / combined.diag
-        return self.inner.prox(point, combined)
-
-
-class DiagonalAffineComposition(ProxRegularizer):
-    """g(x) = phi(A x + b) for nonsingular diagonal A = diag(a).
-
-    prox_{g,U}(v) = A^{-1} (prox_{phi, A^{-1} U A^{-1}}(A v + b) - b); only
-    the diagonal case is supported, where the transformed metric is
-    diag(u / a^2).
-    """
-
-    def __init__(self, inner, a, b=0.0):
-        self.inner = inner
-        self.a = np.asarray(a, dtype=float)
-        if np.any(self.a == 0) or not np.all(np.isfinite(self.a)):
-            raise ValueError("A must be diagonal and nonsingular")
-        self.b = np.asarray(b, dtype=float) if np.ndim(b) else float(b)
-
-    @property
-    def separable(self):
-        return self.inner.separable
-
-    def value(self, x):
-        return self.inner.value(self.a * x + self.b)
-
-    def prox(self, v, metric):
-        transformed = DiagonalMetric(metric.diag / self.a**2)
-        z = self.inner.prox(self.a * v + self.b, transformed)
-        return (z - self.b) / self.a
-
-
 class BlockSeparable(ProxRegularizer):
     """Sum of regularizers over contiguous blocks; the prox splits blockwise."""
 
@@ -433,25 +356,24 @@ def _oracle_coordinatewise(g, v, u):
 
 
 def _oracle_simplex(v, u):
-    """Exact active-set enumeration of the metric projection onto the simplex."""
+    """Exact active-set enumeration of the metric projection onto the simplex.
+
+    On a support S the stationary point of (1/2) sum u_i (x_i - v_i)^2 on
+    sum x = 1 is x_i = v_i - theta / u_i, theta = (sum_S v_i - 1) / sum_S 1/u_i.
+    The projection's support is the one meeting the KKT conditions, x_i >= 0
+    on S and u_i v_i <= theta off it; it is chosen by them, never by the
+    objective, which can be flat to rounding.
+    """
     n = len(v)
     if n > 16:
         raise ValueError("enumeration oracle limited to n <= 16")
-    best, best_obj = None, np.inf
     for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        w = np.array([1.0 / u[i] for i in idx])
-        # stationarity of (1/2) sum u_i (x_i - v_i)^2 on sum x = 1, x_j = 0 off-support
-        theta = (sum(v[i] for i in idx) - 1.0) / w.sum()
-        xs = np.array([v[i] - theta / u[i] for i in idx])
-        if np.any(xs < 0):
-            continue
-        x = np.zeros(n)
-        x[idx] = xs
-        obj = 0.5 * float(np.sum(u * (x - v) ** 2))
-        if obj < best_obj:
-            best, best_obj = x, obj
-    return best
+        on = np.array([mask >> i & 1 for i in range(n)], dtype=bool)
+        theta = (np.sum(v[on]) - 1.0) / np.sum(1.0 / u[on])
+        x = np.where(on, v - theta / u, 0.0)
+        if np.all(x >= 0.0) and np.all(u[~on] * v[~on] <= theta):
+            return x
+    raise ArithmeticError("rounding broke the KKT conditions on every support")
 
 
 def _oracle_group(g, v, u):

@@ -316,14 +316,15 @@ class TestConfigAndEnvironment:
         ])
         assert code == 1
 
-    @pytest.mark.parametrize("flag", ["--max-iter", "--eps-tol"])
+    @pytest.mark.parametrize("flag", ["--max-iter", "--eps-tol", "--n-samples"])
     def test_zero_solver_limit_is_usage_error(self, tmp_path, capsys, flag):
         code = main([
             "solve", "--kind", "qp", "--n", "10", "--kappa", "100",
             flag, "0", "--out", str(tmp_path / "o"),
         ])
         assert code == 1
-        assert "invalid solver limits" in capsys.readouterr().err
+        message = "--n-samples must be >= 1" if flag == "--n-samples" else "invalid solver limits"
+        assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
     @pytest.mark.parametrize("reg, weights", [

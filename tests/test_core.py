@@ -35,10 +35,6 @@ class TestDiagonalMetric:
         assert u.u_max == 8.0
         assert u.dim == 3
 
-    def test_scaled_multiplies_every_entry(self):
-        u = DiagonalMetric(np.array([2.0, 8.0]))
-        np.testing.assert_allclose(u.scaled(2.0).diag, [4.0, 16.0])
-
 
 class TestNorm:
     def test_zero_vector(self):

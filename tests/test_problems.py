@@ -22,7 +22,6 @@ from vmpg.problems import (
     generate_qp,
     generate_regression,
     load_csv,
-    power_iteration,
     precondition,
     _least_squares,
     smooth_part,
@@ -169,29 +168,35 @@ class TestObjectives:
             assert np.isfinite(f.value(x))
             assert np.all(np.isfinite(f.gradient(x)))
 
-    def test_least_squares_smoothness_matches_top_eigenvalue(self):
+    @pytest.mark.parametrize("shape", [(25, 10), (10, 25)], ids=["tall", "wide"])
+    def test_least_squares_smoothness_matches_top_eigenvalue(self, shape):
         rng = np.random.default_rng(13)
-        A = rng.standard_normal((25, 10))
-        f = LeastSquaresObjective(A, rng.standard_normal(25), ridge=0.3)
-        top = np.linalg.eigvalsh(A.T @ A)[-1]
-        expected = 2.0 * (1.0 / 25) * top + 0.6
-        np.testing.assert_allclose(f.smoothness, expected, rtol=1e-9)
+        A = rng.standard_normal(shape)
+        f = LeastSquaresObjective(A, rng.standard_normal(shape[0]), ridge=0.3)
+        expected = 2.0 * (1.0 / shape[0]) * np.linalg.norm(A, 2) ** 2 + 0.6
+        np.testing.assert_allclose(f.smoothness, expected, rtol=64 * np.finfo(float).eps)
 
-    def test_logistic_smoothness_bounds_the_hessian(self, monkeypatch):
-        prob = generate_regression(n_samples=200, dim=20, loss="logistic", seed=0)
+    @pytest.mark.parametrize("shape", [(200, 20), (40, 200)], ids=["tall", "wide"])
+    def test_logistic_smoothness_bounds_the_hessian(self, monkeypatch, shape):
+        n_samples, dim = shape
+        prob = generate_regression(n_samples=n_samples, dim=dim, loss="logistic", seed=0)
         calls = []
-        monkeypatch.setattr(problems, "power_iteration",
-                            lambda *args: calls.append(1) or power_iteration(*args))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda M: calls.append(M.shape) or eigvalsh(M))
         f = LogisticObjective(prob.A, prob.b, ridge=0.3)
         assert calls == []  # computed on first use ...
-        top = np.linalg.eigvalsh(prob.A.T @ prob.A)[-1]
-        np.testing.assert_allclose(f.smoothness, f.scale * top / 4 + 0.6, rtol=1e-9)
-        assert f.smoothness == f.smoothness and calls == [1]  # ... and kept
+        smoothness = f.smoothness
+        # ... from the smaller Gram matrix, and kept
+        assert f.smoothness == smoothness and calls == [(min(shape),) * 2]
+        monkeypatch.undo()
+        expected = f.scale * np.linalg.norm(prob.A, 2) ** 2 / 4 + 0.6
+        np.testing.assert_allclose(smoothness, expected, rtol=64 * np.finfo(float).eps)
         rng = np.random.default_rng(31)
         for scale in (0.0, 1.0, 10.0):
-            t = prob.b * (prob.A @ (scale * rng.standard_normal(20)))
+            t = prob.b * (prob.A @ (scale * rng.standard_normal(dim)))
             curvature = expit(t) * expit(-t)  # at most 1/4, at t = 0
-            hessian = f.scale * (prob.A.T * curvature) @ prob.A + 0.6 * np.eye(20)
+            hessian = f.scale * (prob.A.T * curvature) @ prob.A + 0.6 * np.eye(dim)
             assert np.linalg.eigvalsh(hessian)[-1] <= f.smoothness * (1 + 1e-9)
 
     @pytest.mark.parametrize("loss", ["ls", "logistic"])
@@ -230,16 +235,6 @@ class TestObjectives:
         x = np.array([2.0, 0.0])
         assert abs(h.value(x) - 0.25 * f.value(x)) <= 1e-14
         np.testing.assert_allclose(h.gradient(x), 0.25 * f.gradient(x))
-
-
-class TestPowerIteration:
-    def test_recovers_top_eigenvalue(self):
-        rng = np.random.default_rng(18)
-        basis, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-        eigs = np.sort(rng.uniform(0.1, 9.0, 12))
-        M = (basis * eigs) @ basis.T
-        top = power_iteration(lambda v: M @ v, 12)
-        np.testing.assert_allclose(top, eigs[-1], rtol=1e-8)
 
 
 class TestLoadCsv:
@@ -621,25 +616,6 @@ def value_repeats(points):
     )
 
 
-def two_application_power_iteration(matvec, dim, max_iter=5000, tol=1e-12):
-    """The two-application loop power_iteration replaced; returns (lam, iterations)."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = matvec(v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0, it
-        v_next = w / norm
-        lam_next = float(np.dot(v_next, matvec(v_next)))
-        if abs(lam_next - lam) <= tol * max(1.0, abs(lam_next)):
-            return lam_next, it
-        v, lam = v_next, lam_next
-    return lam, max_iter
-
-
 class TestOperatorApplications:
     @pytest.mark.parametrize("line_search", ["nonmonotone", "monotone"])
     @pytest.mark.parametrize("loss", ["ls", "logistic"])
@@ -669,7 +645,7 @@ class TestOperatorApplications:
     @pytest.mark.parametrize("loss", ["ls", "logistic"])
     def test_fista_uses_at_most_three_products_per_iteration(self, loss):
         f, _ = objective_pair(loss, n_samples=80, dim=12, seed=30)
-        f.smoothness  # power iteration runs before the count starts
+        f.smoothness  # its Gram product runs before the count starts
         count = count_products(f)
         result = solve(
             f, Lasso(0.01), np.zeros(f.dim),
@@ -678,27 +654,18 @@ class TestOperatorApplications:
         assert result.iterations > 5
         assert count[0] <= sum(3 + r.backtracks for r in result.trace)
 
-    def test_power_iteration_applies_the_operator_once_per_iteration(self):
-        for seed in (31, 32):
-            A = generate_regression(n_samples=120, dim=20, loss="ls", seed=seed).A
-            M = A.T @ A
-            calls = [0]
-
-            def matvec(v):
-                calls[0] += 1
-                return M @ v
-
-            lam, iterations = two_application_power_iteration(lambda v: M @ v, 20)
-            assert same_bits(power_iteration(matvec, 20), lam)
-            assert calls[0] == iterations + 1
-
-    def test_least_squares_smoothness_products(self):
-        prob = generate_regression(n_samples=120, dim=20, loss="ls", seed=33)
+    @pytest.mark.parametrize("shape", [(120, 20), (20, 120)], ids=["tall", "wide"])
+    def test_least_squares_smoothness_products(self, shape):
+        """One product, the smaller Gram matrix, on first use and none after."""
+        prob = generate_regression(n_samples=shape[0], dim=shape[1], loss="ls", seed=33)
         f = LeastSquaresObjective(prob.A, prob.b, ridge=0.1)
-        lam, iterations = two_application_power_iteration(lambda v: prob.A.T @ (prob.A @ v), 20)
         count = count_products(f)
-        assert same_bits(f.smoothness, 2.0 * f.scale * lam + 0.2)
-        assert count[0] == 2 * (iterations + 1)
+        A = prob.A
+        gram = A.T @ A if shape[0] >= shape[1] else A @ A.T
+        top = float(np.linalg.eigvalsh(gram)[-1])
+        assert same_bits(f.smoothness, 2.0 * f.scale * top + 0.2)
+        f.smoothness  # kept, so a second read costs no product
+        assert count[0] == 1
 
 
 @pytest.mark.parametrize("kind", ["qp", "gram-ls"])

@@ -1,20 +1,16 @@
-"""Scaled proximal operators, calculus combinators, and the numeric oracle."""
+"""Scaled proximal operators, their block-separable sum, and the numeric oracle."""
 
 import numpy as np
 import pytest
 
 from vmpg.core import BlockDiagonalMetric, DiagonalMetric
 from vmpg.prox import (
-    AffineAddition,
     BlockSeparable,
     Consensus,
-    DiagonalAffineComposition,
     ElasticNet,
     GroupLasso,
     Lasso,
     Nonnegative,
-    QuadraticRegularized,
-    Scaled,
     Simplex,
     Zero,
     _oracle_simplex,
@@ -75,6 +71,32 @@ class TestGroupLasso:
         with pytest.raises(ValueError):
             GroupLasso(1.0, [(0, 2)]).prox(np.ones(2), metric([1.0, 2.0]))
 
+    @pytest.mark.parametrize("groups", [
+        [(0, 2), (1, 3)],
+        [(1, 3), (0, 2)],
+        [(0, 3), (1, 2)],
+        [(-1, 2)],
+    ], ids=["overlap", "overlap-unsorted", "nested", "negative-start"])
+    def test_overlapping_or_negative_groups_rejected(self, groups):
+        # blockwise shrinkage of overlapping groups is not the prox of the sum:
+        # [(0, 2), (1, 3)] at v = (3, 4, 0) gave (2.4, 3, 0)
+        with pytest.raises(ValueError, match="groups must be disjoint"):
+            GroupLasso(1.0, groups)
+
+    def test_disjoint_groups_in_any_order_accepted(self):
+        g = GroupLasso(5.0, [(2, 4), (0, 2)])
+        out = g.prox(np.array([3.0, 4.0, 0.0, 0.0]), metric(np.full(4, 2.0)))
+        np.testing.assert_allclose(out, [1.5, 2.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("call", ["prox", "value"])
+    def test_group_past_the_vector_rejected(self, call):
+        g = GroupLasso(1.0, [(0, 5)])
+        with pytest.raises(ValueError, match="past a vector of length 3"):
+            if call == "prox":
+                g.prox(np.ones(3), metric(np.ones(3)))
+            else:
+                g.value(np.ones(3))
+
 
 class TestElasticNet:
     def test_hand_value(self):
@@ -101,8 +123,7 @@ class TestWeights:
         lambda w: GroupLasso(w, [(0, 2)]),
         lambda w: ElasticNet(w, 1.0),
         lambda w: ElasticNet(1.0, w),
-        lambda w: Scaled(Zero(), w),
-    ], ids=["lasso", "group-lasso", "elastic-net-lam1", "elastic-net-lam2", "scaled"])
+    ], ids=["lasso", "group-lasso", "elastic-net-lam1", "elastic-net-lam2"])
     def test_rejects_weights_that_are_not_positive_and_finite(self, build, weight):
         with pytest.raises(ValueError, match="must be positive and finite"):
             build(weight)
@@ -190,12 +211,28 @@ class TestSimplex:
             s = x > 0.0
             nu = (np.sum(v[s]) - 1.0) / np.sum(1.0 / u[s])
             assert np.max(np.abs(x - np.maximum(v - nu / u, 0.0))) <= tol
-            # the objective is flat to rounding here, so the oracle can pick
-            # another support (for v = -1e8 (1, 1) it returns (1, 0)); compare
-            # objectives, each off by at most tol sum u (|v| + 1)
+            # the objective is flat to rounding here, so compare objectives,
+            # each off by at most tol sum u (|v| + 1)
             ref = _oracle_simplex(v, u)
             gap = 0.5 * float(np.sum(u * (x - v) ** 2) - np.sum(u * (ref - v) ** 2))
             assert abs(gap) <= tol * float(np.sum(u * (np.abs(v) + 1.0)))
+
+
+class TestSimplexOracle:
+    @pytest.mark.parametrize("v, u, want", [
+        # on these the objective is flat to rounding, and picking the support
+        # by the smallest objective gave (1, 0) and x_5 = 0
+        (np.full(2, -1e8), np.full(2, np.exp(-10.0)), np.array([0.5, 0.5])),
+        (np.array([0.5, 0.0, 0.0, 0.5, 1.0, -1.0]),
+         np.exp(np.array([14.0, 0.0, -14.0, 0.0, -14.0, 14.0])),
+         np.array([0.5, 0.0, 0.0, 0.5 - 8.315287e-7, 8.315287e-7, 0.0])),
+    ], ids=["tied-large", "spread-metric"])
+    def test_support_is_chosen_by_the_kkt_conditions(self, v, u, want):
+        x = _oracle_simplex(v, u)
+        tol = 2.0 * (len(v) + 2) * np.finfo(float).eps * (float(np.sum(np.abs(v))) + 1.0)
+        np.testing.assert_array_equal(x > 0.0, want > 0.0)
+        np.testing.assert_allclose(x, want, rtol=1e-6, atol=tol)
+        np.testing.assert_allclose(x, Simplex().prox(v, metric(u)), rtol=0, atol=tol)
 
 
 class TestConsensus:
@@ -291,62 +328,6 @@ class TestSeparability:
                 Zero().prox(v[5:], metric(u[5:])),
             ]
             np.testing.assert_array_equal(joint, np.concatenate(parts))
-
-
-class TestCalculusCombinators:
-    def test_scaling_rule(self):
-        """prox of a*phi under U equals prox of phi under U/a."""
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            v = rng.standard_normal(4) * 2
-            u = rng.uniform(0.2, 5.0, 4)
-            a = Scaled(Lasso(1.0), 2.0).prox(v, metric(u))
-            b = Lasso(2.0).prox(v, metric(u))
-            np.testing.assert_allclose(a, b, atol=1e-9)
-
-    def test_affine_addition_rule(self):
-        """Adding <a, x> shifts the prox point by U^{-1} a."""
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            v = rng.standard_normal(4) * 2
-            u = rng.uniform(0.2, 5.0, 4)
-            a = rng.standard_normal(4)
-            um = metric(u)
-            lhs = AffineAddition(Lasso(0.7), a).prox(v, um)
-            rhs = Lasso(0.7).prox(v - a / u, um)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-
-    def test_quadratic_regularization_reproduces_elastic_net(self):
-        """l1 plus a quadratic-about-zero term equals the elastic net prox."""
-        rng = np.random.default_rng(9)
-        lam1, lam2 = 0.9, 1.3
-        for _ in range(50):
-            v = rng.standard_normal(4) * 2
-            u = rng.uniform(0.2, 5.0, 4)
-            combined = QuadraticRegularized(
-                Lasso(lam1), np.zeros(4), DiagonalMetric(np.full(4, lam2))
-            )
-            a = combined.prox(v, metric(u))
-            b = ElasticNet(lam1, lam2).prox(v, metric(u))
-            np.testing.assert_allclose(a, b, atol=1e-9)
-            np.testing.assert_allclose(combined.value(v), ElasticNet(lam1, lam2).value(v), atol=1e-9)
-
-    def test_diagonal_affine_composition_matches_oracle(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            n = 3
-            a = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
-            b = rng.standard_normal(n)
-            g = DiagonalAffineComposition(Lasso(0.6), a, b)
-            v = rng.standard_normal(n) * 2
-            u = rng.uniform(0.3, 4.0, n)
-            closed = g.prox(v, metric(u))
-            ref = numeric_prox_oracle(g, v, metric(u))
-            np.testing.assert_allclose(closed, ref, atol=1e-6)
-
-    def test_composition_rejects_singular_scaling(self):
-        with pytest.raises(ValueError):
-            DiagonalAffineComposition(Lasso(1.0), np.array([1.0, 0.0]))
 
 
 class TestNumericOracle:

@@ -10,12 +10,10 @@ from vmpg.consensus import solve_consensus, split_regression
 from vmpg.core import DiagonalMetric
 from vmpg.problems import QuadraticObjective, generate_qp, generate_regression, smooth_part
 from vmpg.prox import (
-    AffineAddition,
     Consensus,
     ElasticNet,
     Lasso,
     Nonnegative,
-    Scaled,
     Simplex,
     Zero,
 )
@@ -458,8 +456,7 @@ class TestIndicatorProxValue:
     def test_declared_by_the_indicators_and_no_other_regularizer(self):
         for g in (Zero, Nonnegative, Consensus, Simplex):
             assert g.prox_value == 0.0
-        for g in (Lasso(1.0), ElasticNet(1.0, 1.0), Scaled(Nonnegative(), 2.0),
-                  AffineAddition(Zero(), np.ones(3))):
+        for g in (Lasso(1.0), ElasticNet(1.0, 1.0)):
             assert g.prox_value is None
 
     @pytest.mark.parametrize("g", [Zero(), Nonnegative(), Consensus(3), Simplex()],
