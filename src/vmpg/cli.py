@@ -281,7 +281,9 @@ def cmd_bench(spec):
 
 def cmd_sweep_mu(spec):
     out = spec["out"]
-    mus = spec.get("mus") or [1e-8, 1e-2, 1e-1, 1.0]
+    mus = spec.get("mus")
+    if mus is None:
+        mus = [1e-8, 1e-2, 1e-1, 1.0]
     instances = []
     for seed in spec["seeds"]:
         problem = _build_problem(spec, seed)
@@ -565,6 +567,13 @@ def _assemble_spec(args):
     for m in spec["modes"]:
         if m not in MODES:
             raise UsageError(f"unknown consensus mode {m!r}; choose from {MODES}")
+    # a list is checked only by the subcommand that reads it, so one INI file
+    # can serve every subcommand
+    for key, flag, readers in (("methods", "--method", ("bench", "solve")),
+                               ("modes", "--mode", ("consensus",)),
+                               ("mus", "--mus", ("sweep-mu",))):
+        if args.command in readers and spec.get(key) == []:
+            raise UsageError(f"{flag} list is empty")
 
     spec.setdefault("kind", "qp")
     spec.setdefault("reg", "nonneg" if spec["kind"] == "qp" else "lasso")

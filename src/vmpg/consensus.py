@@ -281,7 +281,9 @@ def node_hybrid_bb(S, Y, config, prev_alpha):
     prev_alpha is the fallback per row, a scalar or an (m,) array.
     """
     a1, a2, degenerate = _node_bb(S, Y)
-    alpha = np.where(a1 < config.delta * a2, a2, a1 - a2 / config.delta)
+    # a degenerate row's a1 and a2 may be inf or NaN; its alpha is discarded
+    with np.errstate(invalid="ignore", over="ignore"):
+        alpha = np.where(a1 < config.delta * a2, a2, a1 - a2 / config.delta)
     alpha = np.where(degenerate | (alpha <= 0.0), prev_alpha, alpha)
     return np.minimum(np.maximum(alpha, config.alpha_min), config.alpha_max)
 

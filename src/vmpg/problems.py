@@ -101,6 +101,22 @@ class QuadraticObjective(_PointMemo):
         return self.value(self.minimizer)
 
 
+def _loss_constants(n_rows, scale, ridge):
+    """(scale, ridge) as floats, scale = 1/n_rows when None.
+
+    Raises ValueError unless 0 < scale < inf and 0 <= ridge < inf: a negative
+    ridge makes the objective unbounded below, and a NaN or infinite one
+    makes every value NaN.
+    """
+    scale = 1.0 / n_rows if scale is None else float(scale)
+    ridge = float(ridge)
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be nonnegative and finite, got {ridge!r}")
+    return scale, ridge
+
+
 class _AffineLoss(_PointMemo):
     """scale * loss(A x; b) + ridge * ||x||^2 over a fixed design matrix A.
 
@@ -116,8 +132,7 @@ class _AffineLoss(_PointMemo):
     def __init__(self, A, b, scale=None, ridge=0.0):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        self.scale = 1.0 / self.A.shape[0] if scale is None else float(scale)
-        self.ridge = float(ridge)
+        self.scale, self.ridge = _loss_constants(self.A.shape[0], scale, ridge)
         if ridge > 0:
             self.strong_convexity = 2.0 * ridge
 
@@ -174,7 +189,7 @@ def _least_squares(A, b, scale=None, ridge=0.0):
     if n_rows < n_cols or A.size < _GRAM_MIN_SIZE:
         return LeastSquaresObjective(A, b, scale=scale, ridge=ridge)
     b = np.asarray(b, dtype=float)
-    scale = 1.0 / n_rows if scale is None else float(scale)
+    scale, ridge = _loss_constants(n_rows, scale, ridge)
     Q = A.T @ A
     Q *= 2.0 * scale
     Q.flat[:: n_cols + 1] += 2.0 * ridge
@@ -326,19 +341,29 @@ def _default_lam(kind):
     return 1e-4 if kind == "logistic" else 1e-2
 
 
+def _precondition_in_place(A, tol=1e-12):
+    """Center and normalize the float columns of A in place; zero-variance indices.
+
+    Works on A's own memory, so preconditioning a freshly built design needs
+    no second N x n array.  ``A /= norms`` divides exactly as ``A / norms``.
+    """
+    A -= A.mean(axis=0)
+    norms = np.linalg.norm(A, axis=0)
+    zero = norms <= tol * np.sqrt(A.shape[0])
+    norms[zero] = 1.0
+    A /= norms
+    return np.flatnonzero(zero).tolist()
+
+
 def precondition(A, tol=1e-12):
     """Center columns to mean zero, then normalize them to unit l2 norm.
 
     Zero-variance columns are left at zero and their indices returned.  The
-    pipeline is idempotent up to floating-point roundoff.
+    pipeline is idempotent up to floating-point roundoff.  A is not modified.
     """
     A = np.array(A, dtype=float)
-    A -= A.mean(axis=0)
-    norms = np.linalg.norm(A, axis=0)
-    zero_cols = np.flatnonzero(norms <= tol * np.sqrt(A.shape[0])).tolist()
-    safe = norms.copy()
-    safe[norms <= tol * np.sqrt(A.shape[0])] = 1.0
-    return A / safe, zero_cols
+    zero_cols = _precondition_in_place(A, tol)
+    return A, zero_cols
 
 
 def generate_regression(n_samples, dim, loss, seed, noise=0.2, lam=None,
@@ -352,11 +377,18 @@ def generate_regression(n_samples, dim, loss, seed, noise=0.2, lam=None,
     if loss not in ("ls", "logistic"):
         raise ValueError(f"unknown loss {loss!r}")
     rng = np.random.default_rng(seed)
+    # each n x n factor is dropped once read and A is preconditioned in
+    # place, so the peak is the one product below, which holds its N x n
+    # input and output at once
     G = rng.standard_normal((dim, dim))
-    sigma = G @ G.T + 0.1 * np.eye(dim)
+    sigma = G @ G.T
+    del G
+    sigma += 0.1 * np.eye(dim)
     sigma /= np.linalg.eigvalsh(sigma)[-1]
     chol = np.linalg.cholesky(sigma)
+    del sigma
     A = rng.standard_normal((n_samples, dim)) @ chol.T
+    del chol
     x_star = rng.standard_normal(dim)
     if loss == "ls":
         b = A @ x_star + noise * rng.standard_normal(n_samples)
@@ -365,9 +397,7 @@ def generate_regression(n_samples, dim, loss, seed, noise=0.2, lam=None,
 
         y = expit(A @ x_star) + noise * rng.uniform(0.0, 1.0, n_samples)
         b = np.where(y >= 0.5, 1.0, -1.0)
-    zero_cols = []
-    if preconditioned:
-        A, zero_cols = precondition(A)
+    zero_cols = _precondition_in_place(A) if preconditioned else []
     return RegressionProblem(
         A=A,
         b=b,
@@ -467,7 +497,7 @@ def load_csv(path, label_column, loss="ls", lam=None, header="auto"):
     A = np.delete(table, label_idx, axis=1)
     if loss == "logistic" and not np.all(np.isin(b, (-1.0, 1.0))):
         raise ValueError(f"{path}: logistic labels must be -1 or +1")
-    A, zero_cols = precondition(A)
+    zero_cols = _precondition_in_place(A)
     return RegressionProblem(
         A=A,
         b=b,

@@ -309,12 +309,41 @@ class TestConfigAndEnvironment:
         ]) == 0
         assert os.path.exists(os.path.join(env_dir, "summary.csv"))
 
-    def test_unknown_method_is_usage_error(self, tmp_path):
-        code = main([
-            "bench", "--kind", "qp", "--method", "adam",
-            "--out", str(tmp_path / "o"),
-        ])
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("bench", "--method", "adam", "unknown method 'adam'"),
+        ("bench", "--seed", "", "--seed list is empty"),
+        ("bench", "--method", "", "--method list is empty"),
+        ("solve", "--method", "", "--method list is empty"),
+        ("consensus", "--mode", ",", "--mode list is empty"),
+        ("sweep-mu", "--mus", "", "--mus list is empty"),
+    ])
+    def test_bad_list_is_usage_error(self, tmp_path, capsys, command, flag, value,
+                                     message):
+        out = tmp_path / "o"
+        code = main([command, "--kind", "ls", "--n", "8", "--n-samples", "60",
+                     flag, value, "--out", str(out)])
         assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_list_in_ini_fails_only_the_subcommand_that_reads_it(self, tmp_path,
+                                                                       capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nkind = ls\nn = 8\nn-samples = 60\nmode = ,\nmus =\n")
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert main(["sweep-mu", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+        assert "--mus list is empty" in capsys.readouterr().err
+        assert main(["consensus", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 1
+        assert "--mode list is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ridge", ["-5", "nan", "inf"])
+    def test_bad_consensus_ridge_is_usage_error(self, tmp_path, capsys, ridge):
+        out = tmp_path / "o"
+        code = main(["consensus", "--kind", "ls", "--n", "5", "--n-samples", "40",
+                     "--nodes", "2", "--ridge", ridge, "--out", str(out)])
+        assert code == 1
+        assert "ridge must be nonnegative and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--max-iter", "--eps-tol", "--n-samples"])
     def test_zero_solver_limit_is_usage_error(self, tmp_path, capsys, flag):

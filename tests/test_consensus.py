@@ -458,6 +458,19 @@ class TestBatchedRound:
         config = SolverConfig()
         np.testing.assert_array_equal(node_hybrid_bb(S, Y, config, 0.5), [0.5, 0.5])
 
+    def test_hybrid_rule_is_quiet_on_a_degenerate_row_with_infinite_ratios(self):
+        # row 0's yy underflows to 0, so its ratios are inf and its gap
+        # a1 - a2 / delta is NaN; the row is degenerate and takes prev_alpha
+        S = np.array([[1.0, 1.0], [1.0, 2.0]])
+        Y = np.array([[1e-310, 1e-310], [2.0, 3.0]])
+        config = SolverConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alphas = node_hybrid_bb(S, Y, config, 0.5)
+        want = hybrid_bb(StepPair(S[1], Y[1]), config, StepsizeState(prev_alpha=0.5))
+        assert alphas[0] == 0.5
+        assert np.float64(alphas[1]).tobytes() == np.float64(want).tobytes()
+
     @pytest.mark.parametrize("line_search_mode", ["nonmonotone", "monotone", "off"])
     @pytest.mark.parametrize("loss", ["ls", "logistic"])
     @pytest.mark.parametrize("mode", MODES)

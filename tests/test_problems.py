@@ -237,6 +237,39 @@ class TestObjectives:
         np.testing.assert_allclose(h.gradient(x), 0.25 * f.gradient(x))
 
 
+def affine_loss(form, **constants):
+    """One affine loss built on a fixed instance: residual, Gram or logistic."""
+    loss = "logistic" if form == "logistic" else "ls"
+    shape = (2048, 64) if form == "gram" else (40, 6)
+    prob = generate_regression(*shape, loss=loss, seed=60)
+    build = LogisticObjective if form == "logistic" else _least_squares
+    return build(prob.A, prob.b, **constants)
+
+
+class TestLossConstants:
+    """scale and ridge are checked once, where each affine loss is built."""
+
+    @pytest.mark.parametrize("form", ["residual", "gram", "logistic"])
+    @pytest.mark.parametrize("constants", [
+        dict(ridge=-1.0), dict(ridge=np.nan), dict(ridge=np.inf),
+        dict(scale=0.0), dict(scale=-1.0), dict(scale=np.nan), dict(scale=np.inf),
+    ], ids=lambda c: f"{next(iter(c))}={next(iter(c.values()))}")
+    def test_bad_constant_is_rejected(self, form, constants):
+        name = next(iter(constants))
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            affine_loss(form, **constants)
+
+    @pytest.mark.parametrize("form", ["residual", "gram", "logistic"])
+    def test_valid_constants_are_kept_as_floats(self, form):
+        f = affine_loss(form, scale=0.25, ridge=0)
+        assert f.strong_convexity is None
+        if form != "gram":
+            assert (f.scale, f.ridge) == (0.25, 0.0)
+            assert type(f.scale) is float and type(f.ridge) is float
+        g = affine_loss(form, ridge=0.05)
+        assert g.strong_convexity == 0.1
+
+
 class TestLoadCsv:
     def write(self, tmp_path, text, name="data.csv"):
         path = tmp_path / name
