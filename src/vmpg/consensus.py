@@ -211,6 +211,7 @@ class ConsensusResult:
     trace: list
     iterations: int
     final_objective: float
+    stopped_by: str = None  # the stop rule that ended a converged run
 
 
 def split_regression(problem, n_nodes, ridge):
@@ -389,7 +390,7 @@ def solve_consensus(problem, x0, mode="local-dbb", config=None):
     config = config or SolverConfig()
     x0 = as_vector(x0, dim=problem.dim, name="x0")
     parts = _SolveParts(problem)
-    x, f_x, trace, status = _iterate(
+    x, f_x, trace, status, stopped_by = _iterate(
         parts.f, parts.g, np.tile(x0, problem.n_nodes), config,
         lambda x: parts.record(_warmup(parts.f, parts.g, x, config)),
         lambda state: consensus_round(parts, state, mode, config),
@@ -400,4 +401,5 @@ def solve_consensus(problem, x0, mode="local-dbb", config=None):
         trace=trace,
         iterations=len(trace),
         final_objective=f_x,
+        stopped_by=stopped_by,
     )

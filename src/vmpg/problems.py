@@ -9,6 +9,7 @@ column-normalization pipeline.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,7 @@ class QuadraticObjective(_PointMemo):
     """
 
     _triangle = None  # column-major view of a large symmetric Q, else None
+    scale = None  # s of the least-squares loss a Gram form was built from, else None
 
     def __init__(self, Q, q, p=0.0, strong_convexity=None, smoothness=None):
         self.Q = np.asarray(Q, dtype=float)
@@ -89,6 +91,18 @@ class QuadraticObjective(_PointMemo):
 
     def gradient(self, x):
         return self._image(x) + self.q
+
+    @property
+    def dual_terms(self):
+        """None, or for a Gram form of s ||Ax - b||^2 + ridge ||x||^2 a function
+        of x giving (s, ||b||^2, b'Ax) from p = s b'b and q'x = -2s b'Ax."""
+        # a bound method made on each read, never stored on the instance,
+        # where it would form a reference cycle that outlives the objective
+        return None if self.scale is None else self._gram_dual_terms
+
+    def _gram_dual_terms(self, x):
+        s = self.scale
+        return s, self.p / s, float(self.q.dot(x)) / (-2.0 * s)
 
     @property
     def minimizer(self):
@@ -170,6 +184,12 @@ class LeastSquaresObjective(_AffineLoss):
             2.0 * self.ridge
         ) * x
 
+    def dual_terms(self, x):
+        """(scale, ||b||^2, b'Ax) at x from the memoized residual r = Ax - b:
+        no product when value or gradient was last taken at x."""
+        b_sq = float(self.b.dot(self.b))
+        return self.scale, b_sq, float(self.b.dot(self._image(x))) + b_sq
+
 
 def _least_squares(A, b, scale=None, ridge=0.0):
     """scale * ||Ax - b||^2 + ridge * ||x||^2 in the cheaper of two exact forms.
@@ -181,8 +201,9 @@ def _least_squares(A, b, scale=None, ridge=0.0):
     symmetric, so a large one is applied through one triangle, and its
     smoothness is its top eigenvalue by eigvalsh.  Its value has an absolute
     rounding error of about eps * scale * ||b||^2, so near a zero residual
-    it can dip just below 0.  Any other design keeps the residual
-    form, LeastSquaresObjective.
+    it can dip just below 0.  The quadratic keeps scale, so that its
+    dual_terms give the least-squares duality gap.  Any other design keeps
+    the residual form, LeastSquaresObjective.
     """
     A = np.asarray(A, dtype=float)
     n_rows, n_cols = A.shape
@@ -195,13 +216,15 @@ def _least_squares(A, b, scale=None, ridge=0.0):
     Q.flat[:: n_cols + 1] += 2.0 * ridge
     q = A.T @ b
     q *= -2.0 * scale
-    return QuadraticObjective(
+    f = QuadraticObjective(
         Q,
         q,
         scale * float(b @ b),
         strong_convexity=2.0 * ridge if ridge > 0 else None,
         smoothness=float(np.linalg.eigvalsh(Q)[-1]),
     )
+    f.scale = scale
+    return f
 
 
 class LogisticObjective(_AffineLoss):
@@ -433,14 +456,12 @@ def load_csv(path, label_column, loss="ls", lam=None, header="auto"):
     The label column is selected by 0-based index (or by name when a header
     row is present); remaining columns form the design matrix, which is then
     preconditioned.  Non-numeric or non-finite cells raise ValueError with
-    their row and column.
+    their row and column.  The file is read twice, once to count its rows
+    and once to parse each row straight into the design matrix and the
+    label vector, so no table of strings or Python floats is held.
     """
     if loss not in ("ls", "logistic"):
         raise ValueError(f"unknown loss {loss!r}")
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
 
     def parse_row(cells, row_no):
         out = []
@@ -459,42 +480,48 @@ def load_csv(path, label_column, loss="ls", lam=None, header="auto"):
             out.append(val)
         return out
 
-    names = None
-    start = 0
-    if header == "auto":
-        try:
-            parse_row(rows[0], 1)
-        except ValueError:
-            names = [c.strip() for c in rows[0]]
-            start = 1
-    elif header:
-        names = [c.strip() for c in rows[0]]
-        start = 1
+    with open(path, newline="") as fh:
+        rows = (row for row in csv.reader(fh) if row)
+        head = list(itertools.islice(rows, 2))
+        n_rows = len(head) + sum(1 for _ in rows)
+        if not head:
+            raise ValueError(f"{path}: no data rows")
+        names = None
+        if header == "auto":
+            try:
+                parse_row(head[0], 1)
+            except ValueError:
+                names = [c.strip() for c in head[0]]
+        elif header:
+            names = [c.strip() for c in head[0]]
+        start = int(names is not None)
+        n_data = n_rows - start
+        if not n_data:
+            raise ValueError(f"{path}: no data rows after the header")
+        width = len(head[start])
 
-    width = len(rows[start])
-    data = []
-    for r in range(start, len(rows)):
-        if len(rows[r]) != width:
-            raise ValueError(
-                f"{path}: row {r + 1} has {len(rows[r])} cells, expected {width}"
-            )
-        data.append(parse_row(rows[r], r + 1))
-    if not data:
-        raise ValueError(f"{path}: no data rows after the header")
-    table = np.array(data)
-
-    if isinstance(label_column, str):
-        if names is None or label_column not in names:
-            raise ValueError(f"{path}: no column named {label_column!r}")
-        label_idx = names.index(label_column)
-    else:
-        label_idx = int(label_column)
+        if isinstance(label_column, str):
+            if names is None or label_column not in names:
+                raise ValueError(f"{path}: no column named {label_column!r}")
+            label_idx = names.index(label_column)
+        else:
+            label_idx = int(label_column)
         if not 0 <= label_idx < width:
             raise ValueError(
                 f"{path}: label column {label_idx} out of range 0..{width - 1}"
             )
-    b = table[:, label_idx]
-    A = np.delete(table, label_idx, axis=1)
+        A = np.empty((n_data, width - 1))
+        b = np.empty(n_data)
+        fh.seek(0)
+        rows = enumerate((row for row in csv.reader(fh) if row), 1)
+        for i, (row_no, cells) in enumerate(itertools.islice(rows, start, None)):
+            if len(cells) != width:
+                raise ValueError(
+                    f"{path}: row {row_no} has {len(cells)} cells, expected {width}"
+                )
+            values = parse_row(cells, row_no)
+            b[i] = values.pop(label_idx)
+            A[i] = values
     if loss == "logistic" and not np.all(np.isin(b, (-1.0, 1.0))):
         raise ValueError(f"{path}: logistic labels must be -1 or +1")
     zero_cols = _precondition_in_place(A)

@@ -19,6 +19,8 @@ import numpy as np
 
 from .core import DiagonalMetric, ProxRegularizer
 
+_EPS = np.finfo(float).eps
+
 
 def _weight(name, value):
     """value as a float; ValueError unless 0 < value < inf (so not NaN)."""
@@ -160,16 +162,22 @@ class Simplex(ProxRegularizer):
     with the t_i sorted in descending order the pivot on the top k is
     nu_k = (sum_{i<=k} v_i - 1) / sum_{i<=k} 1/u_i, and the support is the
     last k with t_(k) > nu_k (Duchi et al. 2008; Condat 2016, with weights).
+    v - nu / u rounds by about eps |v|, far more than eps once |v| is large,
+    so the projection ends by dividing x by its sum: its output then sums
+    to 1 within the rounding of a sum of n entries.
     """
 
-    # the projection meets sum x = 1 only up to the rounding of v - nu / u, so
-    # the indicator accepts a slack instead of exact equality
-    feas_tol = 1e-9
     prox_value = 0.0  # the projection is in the simplex by construction
+
+    # value accepts x within _SLACK * n eps sum |x_i|, a few times the
+    # rounding of the sum of its entries: a point computed from entries of
+    # order one, as by an exact projection formula, lands that close
+    _SLACK = 8.0
 
     def value(self, x):
         x = np.asarray(x)
-        if np.all(x >= -self.feas_tol) and abs(float(np.sum(x)) - 1.0) <= self.feas_tol:
+        slack = self._SLACK * x.size * _EPS * float(np.abs(x).sum())
+        if np.all(x >= -slack) and abs(float(np.sum(x)) - 1.0) <= slack:
             return 0.0
         return np.inf
 
@@ -182,7 +190,9 @@ class Simplex(ProxRegularizer):
         # t_(1) > nu_1 in exact arithmetic; the floor keeps rounding from
         # emptying the support
         k = max(np.count_nonzero(t[order] > nu), 1)
-        return np.maximum(v - nu[k - 1] / u, 0.0)
+        x = np.maximum(v - nu[k - 1] / u, 0.0)
+        x /= x.sum()
+        return x
 
 
 class Consensus(ProxRegularizer):

@@ -411,12 +411,13 @@ def rebuilding_solve(problem, x0, mode, config):
     """solve_consensus driving rebuilding_round."""
     f = problem.stacked()
     g = Consensus(problem.n_nodes)
-    x, f_x, trace, status = _iterate(
+    x, f_x, trace, status, stopped_by = _iterate(
         f, g, np.tile(x0, problem.n_nodes), config,
         lambda x: rebuilding_with_bytes(_warmup(f, g, x, config), problem),
         lambda state: rebuilding_round(problem, state, mode, config),
     )
-    return ConsensusResult(x[:problem.dim].copy(), status, trace, len(trace), f_x)
+    return ConsensusResult(x[:problem.dim].copy(), status, trace, len(trace), f_x,
+                           stopped_by)
 
 
 def _relaid(A, j):

@@ -289,6 +289,12 @@ class TestLoadCsv:
         np.testing.assert_array_equal(prob.b, [3.0, 6.0, 10.0])
         assert prob.A.shape == (3, 2)
 
+    @pytest.mark.parametrize("header", [True, "auto"])
+    def test_header_without_data_rows(self, tmp_path, header):
+        path = self.write(tmp_path, "x1,x2,y\n\n")
+        with pytest.raises(ValueError, match="no data rows after the header"):
+            load_csv(path, label_column=0, header=header)
+
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = self.write(tmp_path, "1,2\n3,oops\n5,6\n")
         with pytest.raises(ValueError, match="row 2.*column 2"):
@@ -362,9 +368,16 @@ class ReferenceLeastSquares(SmoothObjective):
             2.0 * self.ridge
         ) * x
 
+    def dual_terms(self, x):
+        """(scale, ||b||^2, b'Ax), the terms of the duality gap solve checks."""
+        b_sq = float(self.b @ self.b)
+        return self.scale, b_sq, float(self.b @ (self.A @ x - self.b)) + b_sq
+
 
 class ReferenceLogistic(ReferenceLeastSquares):
     """Memo-free logistic loss: A @ x is recomputed by every call."""
+
+    dual_terms = None  # no least-squares duality gap
 
     def value(self, x):
         t = self.b * (self.A @ x)
@@ -465,7 +478,7 @@ class TestSharedAffineImage:
         got = solve(f, Lasso(0.01), np.zeros(f.dim), config)
         want = solve(ref, Lasso(0.01), np.zeros(f.dim), config)
         assert got.iterations == want.iterations > 5
-        assert got.status == want.status
+        assert (got.status, got.stopped_by) == (want.status, want.stopped_by)
         assert same_bits(got.x, want.x)
         assert same_bits(got.final_objective, want.final_objective)
         for a, b in zip(got.trace, want.trace):
@@ -514,6 +527,19 @@ class ReferenceQuadratic(SmoothObjective):
         return self.product(x) + self.q
 
 
+class ReferenceGramLeastSquares(ReferenceQuadratic):
+    """Memo-free Gram form of s ||Ax - b||^2 + ridge ||x||^2, with the terms
+    of its duality gap from p = s b'b and q = -2s A'b."""
+
+    def __init__(self, Q, q, p, scale):
+        super().__init__(Q, q, p)
+        self.scale = scale
+
+    def dual_terms(self, x):
+        s = self.scale
+        return s, self.p / s, float(self.q @ x) / (-2.0 * s)
+
+
 def column_major(Q):
     """Q, or its transpose if that is the column-major one: what dsymv reads."""
     return Q if Q.flags.f_contiguous else Q.T
@@ -535,6 +561,7 @@ def quadratic_pair(kind, seed=41):
     else:
         f = smooth_part(generate_regression(n_samples=2048, dim=64, loss="ls", seed=seed))
         assert isinstance(f, QuadraticObjective)
+        return f, ReferenceGramLeastSquares(f.Q, f.q, f.p, f.scale)
     reference = SymvQuadratic if kind == "qp-400" else ReferenceQuadratic
     return f, reference(f.Q, f.q, f.p)
 
@@ -602,7 +629,7 @@ class TestSharedQuadraticImage:
         got = solve(f, g, np.zeros(f.dim), config)
         want = solve(ref, g, np.zeros(f.dim), config)
         assert got.iterations == want.iterations > 5
-        assert got.status == want.status
+        assert (got.status, got.stopped_by) == (want.status, want.stopped_by)
         assert same_bits(got.x, want.x)
         assert same_bits(got.final_objective, want.final_objective)
         for a, b in zip(got.trace, want.trace):

@@ -163,6 +163,24 @@ class TestSimplex:
         eps_v = np.finfo(float).eps * 5166.0
         np.testing.assert_allclose(out, np.full(12, 1.0 / 12.0), rtol=0, atol=12 * eps_v)
 
+    def test_value_accepts_every_projection(self):
+        """Entries up to 1e8 round v - nu / u by about 1e-8; the projection's
+        final division by its sum leaves it inside the indicator's slack."""
+        rng = np.random.default_rng(0)
+        g = Simplex()
+        for _ in range(1000):
+            v = rng.uniform(-1e8, 1e8, 8)
+            u = np.exp(rng.uniform(-14.0, 14.0, 8))
+            out = g.prox(v, metric(u))
+            assert g.value(out) == 0.0, (v, u)
+
+    def test_value_rejects_points_off_the_simplex(self):
+        g = Simplex()
+        assert g.value(np.array([0.25, 0.75])) == 0.0
+        assert g.value(np.array([0.25, 0.75 + 1e-12])) == np.inf
+        assert g.value(np.array([-1e-12, 1.0 + 1e-12])) == np.inf
+        assert g.value(np.array([0.5, 0.5, 0.5])) == np.inf
+
     def test_output_constraints_and_kkt(self):
         """Nonnegative, unit sum, and a common multiplier on the support."""
         rng = np.random.default_rng(2)
