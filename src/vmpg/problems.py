@@ -25,10 +25,16 @@ class _PointMemo(SmoothObjective):
     shape and bytes of x, never by its identity: a point changed in place is
     recomputed.  The matrix and vectors of the objective must not change in
     place after construction.
+
+    ``_extrapolates`` is True when the image is affine in x and the product
+    costs more than a combination of two images: FISTA then forms the image
+    at its extrapolated point from the images it has, and serves it to
+    ``value`` and ``gradient`` through ``_install_image``.
     """
 
     _image_key = None
     _image_value = None
+    _extrapolates = False
 
     def _image(self, x):
         key = (x.dtype, x.shape, x.tobytes())
@@ -36,6 +42,11 @@ class _PointMemo(SmoothObjective):
             self._image_value = self._image_of(x)
             self._image_key = key
         return self._image_value
+
+    def _install_image(self, x, image):
+        """Serve image as the image of x, or forget the memo if x is None."""
+        self._image_key = None if x is None else (x.dtype, x.shape, x.tobytes())
+        self._image_value = image
 
 
 # A matrix of at least this many entries (1 MiB of float64) is large: a tall
@@ -74,6 +85,7 @@ class QuadraticObjective(_PointMemo):
 
             self._dsymv = dsymv
             self._triangle = Q if Q.flags.f_contiguous else Q.T
+            self._extrapolates = True
 
     @property
     def dim(self):
@@ -147,6 +159,7 @@ class _AffineLoss(_PointMemo):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.scale, self.ridge = _loss_constants(self.A.shape[0], scale, ridge)
+        self._extrapolates = self.A.size >= _GRAM_MIN_SIZE
         if ridge > 0:
             self.strong_convexity = 2.0 * ridge
 

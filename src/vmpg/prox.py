@@ -30,6 +30,13 @@ def _weight(name, value):
     return value
 
 
+def _diagonal(metric):
+    """U's one entry as a float when U is uniform (u_min == u_max), else its
+    diagonal: an elementwise formula gives the same bits with either, and the
+    scalar spares it a pass over an n-vector."""
+    return metric.u_min if metric.u_min == metric.u_max else metric.diag
+
+
 class Zero(ProxRegularizer):
     """g = 0; the prox is the identity."""
 
@@ -58,7 +65,7 @@ class Lasso(ProxRegularizer):
         return self.lam * float(np.abs(x).sum())
 
     def prox(self, v, metric):
-        thr = self.lam / metric.diag
+        thr = self.lam / _diagonal(metric)
         return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
 
     def conjugate(self):
@@ -133,7 +140,7 @@ class ElasticNet(ProxRegularizer):
         )
 
     def prox(self, v, metric):
-        u = metric.diag
+        u = _diagonal(metric)
         denom = self.lam2 + u
         return np.sign(v) * np.maximum((u * np.abs(v) - self.lam1) / denom, 0.0)
 

@@ -12,7 +12,7 @@ from scipy.special import expit
 
 from vmpg.consensus import ConsensusProblem, solve_consensus, split_regression
 from vmpg import problems
-from vmpg.core import SmoothObjective
+from vmpg.core import DiagonalMetric, NumericalError, SmoothObjective
 from vmpg.problems import (
     LeastSquaresObjective,
     LogisticObjective,
@@ -27,7 +27,17 @@ from vmpg.problems import (
     smooth_part,
 )
 from vmpg.prox import Lasso, Nonnegative
-from vmpg.solver import SolverConfig, solve
+from vmpg.solver import (
+    LINE_SEARCH_FAILURE,
+    NUMERICAL_FAILURE,
+    FistaState,
+    SolverConfig,
+    _fista_step,
+    fista,
+    solve,
+)
+
+from test_fista_reference import LARGE_KINDS, extrapolating_fista, large, large_lam
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -627,7 +637,12 @@ class TestSharedQuadraticImage:
         g = Nonnegative() if kind == "qp" else Lasso(0.01)
         config = SolverConfig(method=method, eps_tol=1e-8, max_iter=300)
         got = solve(f, g, np.zeros(f.dim), config)
-        want = solve(ref, g, np.zeros(f.dim), config)
+        if method == "fista" and f._extrapolates:
+            # on a large Q FISTA forms the image of its extrapolated point by
+            # combination, which the loop does explicitly on the reference
+            want = extrapolating_fista(ref, g, np.zeros(f.dim), config=config)
+        else:
+            want = solve(ref, g, np.zeros(f.dim), config)
         assert got.iterations == want.iterations > 5
         assert (got.status, got.stopped_by) == (want.status, want.stopped_by)
         assert same_bits(got.x, want.x)
@@ -655,6 +670,18 @@ def count_products(f, attr="A"):
     matrix.count = [0]
     setattr(f, attr, matrix)
     return matrix.count
+
+
+def count_symv(f):
+    """Count f's dsymv calls; returns the one-element count list."""
+    calls = [0]
+
+    def counting_dsymv(*args, _inner=f._dsymv):
+        calls[0] += 1
+        return _inner(*args)
+
+    f._dsymv = counting_dsymv
+    return calls
 
 
 def log_points(f):
@@ -830,13 +857,7 @@ class TestSymmetricProduct:
     @pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb"])
     def test_variable_metric_methods_use_one_product_per_candidate(self, method, line_search):
         f = large_quadratic("qp-400", 29)
-        calls = [0]
-
-        def counting_dsymv(*args, _inner=f._dsymv):
-            calls[0] += 1
-            return _inner(*args)
-
-        f._dsymv = counting_dsymv
+        calls = count_symv(f)
         gemv_calls = count_products(f, "Q")  # the triangle is bound: never used
         points = log_points(f)
         config = SolverConfig(
@@ -850,6 +871,104 @@ class TestSymmetricProduct:
         assert repeats >= 1
         assert gemv_calls[0] == 0
         assert calls[0] == 2 + sum(1 + r.backtracks for r in result.trace) - repeats
+
+
+FISTA_SETTINGS = pytest.mark.parametrize(
+    "line_search, step", [("nonmonotone", None), ("nonmonotone", 64.0), ("off", None)],
+    ids=["1/L", "64/L", "off"])
+
+
+def fista_run(f, line_search, step, lam=0.01):
+    """FISTA from 0 with Lasso(lam), at stepsize 1/L or step/L (which backtracks)."""
+    stepsize = None if step is None else step / f.smoothness
+    config = SolverConfig(method="fista", line_search=line_search, eps_tol=1e-8,
+                          max_iter=200)
+    result = fista(f, Lasso(lam), np.zeros(f.dim), stepsize=stepsize, config=config)
+    assert result.iterations > 5
+    assert (sum(r.backtracks for r in result.trace) > 0) == (step is not None)
+    return result
+
+
+class TestFistaProducts:
+    """On a large affine objective FISTA reads grad f and f at its extrapolated
+    point z^k from an image formed by combination, so it applies the operator
+    once per candidate: after the start's product at x^0, one per accepted
+    iteration plus one per backtrack on a quadratic, and two (A for the
+    candidate, A.T for the gradient) on a residual or logistic loss."""
+
+    @FISTA_SETTINGS
+    @pytest.mark.parametrize("kind", ["lasso-ls", "qp-400"])
+    def test_one_symmetric_product_per_iteration(self, kind, line_search, step):
+        f = large_quadratic(kind, 121)
+        calls = count_symv(f)
+        gemv_calls = count_products(f, "Q")
+        result = fista_run(f, line_search, step)
+        assert gemv_calls[0] == 0
+        assert calls[0] == 1 + sum(1 + r.backtracks for r in result.trace)
+
+    @FISTA_SETTINGS
+    @pytest.mark.parametrize("kind", ["ls-wide", "logistic"])
+    def test_two_products_per_iteration_on_a_large_design(self, kind, line_search, step):
+        f = large(kind, 121)
+        f.smoothness  # its Gram product runs before the count starts
+        count = count_products(f)
+        result = fista_run(f, line_search, step, large_lam(kind))
+        assert count[0] == 1 + sum(2 + r.backtracks for r in result.trace)
+
+
+class Faulty(Lasso):
+    """Lasso whose prox output on call number ``at`` is moved by ``fault``."""
+
+    def __init__(self, lam, at, fault):
+        super().__init__(lam)
+        self.at, self.fault, self.calls = at, fault, 0
+
+    def prox(self, v, metric):
+        self.calls += 1
+        x = super().prox(v, metric)
+        return x + self.fault if self.calls == self.at else x
+
+
+@pytest.mark.parametrize("kind", LARGE_KINDS)
+class TestNoExtrapolatedImageOutlivesASolve:
+    """After FISTA on a large affine objective, value and gradient anywhere,
+    the points the solve visited included, have a fresh objective's bits."""
+
+    def check(self, f, fresh, points):
+        for x in points:
+            for call in ("value", "gradient"):
+                assert same_bits(getattr(f, call)(x), getattr(fresh, call)(x)), call
+
+    @pytest.mark.parametrize("end", ["converged", LINE_SEARCH_FAILURE, NUMERICAL_FAILURE])
+    def test_after_each_ending(self, kind, end):
+        """The line search fails at once from 64/L with no backtracks allowed;
+        a NaN from the 20th prox call ends the run after 19 iterations."""
+        f = large(kind, 5)
+        points = log_points(f)
+        lam = large_lam(kind)
+        g = Faulty(lam, 20, np.nan) if end == NUMERICAL_FAILURE else Lasso(lam)
+        stepsize = 64.0 / f.smoothness if end == LINE_SEARCH_FAILURE else None
+        with np.errstate(invalid="ignore"):
+            result = fista(f, g, np.zeros(f.dim), stepsize=stepsize,
+                           config=SolverConfig(max_backtracks=0))
+        assert result.status == end
+        if end == NUMERICAL_FAILURE:
+            assert result.iterations == 19
+        visited = [np.frombuffer(bits) for _, bits in points[-6:]]
+        rng = np.random.default_rng(6)
+        with np.errstate(invalid="ignore"):
+            self.check(f, large(kind, 5), [result.x, *visited, *rng.standard_normal((2, f.dim))])
+
+    def test_after_a_nan_at_the_extrapolated_point(self, kind):
+        f = large(kind, 5)
+        x = np.random.default_rng(7).standard_normal(f.dim)
+        image = f._image_of(x)
+        image[0] = np.nan
+        metric = DiagonalMetric.uniform(f.dim, f.smoothness)
+        state = FistaState(x, x, x, 1.0, 1.0 / f.smoothness, metric, x, None, 0, image, image)
+        with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+            _fista_step(f, Lasso(large_lam(kind)), state, SolverConfig(method="fista"))
+        self.check(f, large(kind, 5), [x])
 
 
 def test_scipy_linalg_loads_only_for_a_large_symmetric_q():

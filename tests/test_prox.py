@@ -116,6 +116,63 @@ class TestElasticNet:
         np.testing.assert_array_equal(out, np.zeros(3))
 
 
+def vector_lasso(g, v, diag):
+    """Lasso.prox dividing by the whole diagonal, as it did for every metric."""
+    return np.sign(v) * np.maximum(np.abs(v) - g.lam / diag, 0.0)
+
+
+def vector_elastic_net(g, v, diag):
+    """ElasticNet.prox on the whole diagonal, as it did for every metric."""
+    return np.sign(v) * np.maximum((diag * np.abs(v) - g.lam1) / (g.lam2 + diag), 0.0)
+
+
+def threshold_inputs():
+    """v with signed zeros, +-inf, huge, tiny and subnormal entries."""
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -5e-324, 0.1, -0.1]
+    return np.concatenate([special, rng.standard_normal(30) * 10.0 ** rng.integers(-8, 9, 30)])
+
+
+class TestUniformThreshold:
+    """Under a uniform metric (u_min == u_max) Lasso and ElasticNet threshold by
+    one scalar, with the bits of the elementwise formula on the diagonal."""
+
+    @pytest.mark.parametrize("u", [1e-300, 1e-150, 3e-8, 1.0, 2.0 / 3.0, 7e5, 1e150, 1e300])
+    @pytest.mark.parametrize("build", ["uniform", "trusted", "scaled", "full"])
+    def test_uniform_metric_gives_the_vector_bits(self, u, build):
+        v = threshold_inputs()
+        n = v.shape[0]
+        if build == "uniform":
+            m = DiagonalMetric.uniform(n, u)
+        elif build == "trusted":
+            m = DiagonalMetric._trusted_uniform(n, u)
+        elif build == "scaled":  # a line-search rescaling of a uniform metric
+            m = DiagonalMetric._trusted_uniform(n, u / 2.0 if u > 1e-299 else u)._scaled(2.0)
+        else:
+            m = metric(np.full(n, u))
+        assert m.u_min == m.u_max
+        for g in (Lasso(0.05), Lasso(1e200), Lasso(1e-200)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert Lasso.prox(g, v, m).tobytes() == vector_lasso(g, v, m.diag).tobytes()
+        for g in (ElasticNet(0.05, 0.02), ElasticNet(1e200, 1e-200), ElasticNet(1e-200, 1e200)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = ElasticNet.prox(g, v, m)
+                assert got.tobytes() == vector_elastic_net(g, v, m.diag).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_non_uniform_metric_keeps_the_vector_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        v = threshold_inputs()
+        diag = 10.0 ** rng.uniform(-300, 300, v.shape[0])
+        diag[:3] = diag[3]  # mostly equal entries are still not uniform
+        m = metric(diag)
+        assert m.u_min < m.u_max
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert Lasso(0.05).prox(v, m).tobytes() == vector_lasso(Lasso(0.05), v, diag).tobytes()
+            g = ElasticNet(0.05, 0.02)
+            assert g.prox(v, m).tobytes() == vector_elastic_net(g, v, diag).tobytes()
+
+
 class TestWeights:
     @pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("build", [
