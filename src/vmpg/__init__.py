@@ -40,8 +40,6 @@ from .solver import (
     SolverState,
     TraceRecord,
     composite_value,
-    fista,
-    gradient_mapping,
     line_search,
     proximal_step,
     solve,

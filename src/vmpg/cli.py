@@ -22,6 +22,7 @@ import os
 import statistics
 import sys
 import time
+import zipfile
 from configparser import ConfigParser
 
 import numpy as np
@@ -131,12 +132,17 @@ def _default_eps(kind):
     return 1e-2 if kind == "logistic" else 1e-4
 
 
+def _default_reg(kind):
+    return "nonneg" if kind == "qp" else "lasso"
+
+
 def _build_problem(spec, seed):
     kind = spec["kind"]
     if spec.get("data") is not None:
-        loss = "ls" if kind == "ls" else "logistic"
+        if kind == "qp":
+            raise UsageError("--data loads a regression dataset; it needs --kind ls|logistic")
         return load_csv(
-            spec["data"], spec.get("label_column", 0), loss=loss, lam=spec.get("lam")
+            spec["data"], spec.get("label_column", 0), loss=kind, lam=spec.get("lam")
         )
     n = spec["n"]
     if kind == "qp":
@@ -181,44 +187,18 @@ def _solver_config(spec, method):
     return SolverConfig(**kwargs)
 
 
-def _aggregate_rows(per_method):
-    rows = []
-    for method in per_method:
-        runs = per_method[method]
+def _summary_rows(records, per_variant):
+    """A row per run record, then an aggregate row per variant."""
+    rows = [[r[c] for c in SUMMARY_COLUMNS[:6]] + ["", ""] for r in records]
+    for variant, runs in per_variant.items():
         iters = [r["iterations"] for r in runs]
-        walls = [r["wall_ms"] for r in runs]
-        objs = [r["final_objective"] for r in runs]
         ok = all(r["status"] == CONVERGED for r in runs)
-        rows.append(
-            [
-                method,
-                "aggregate",
-                statistics.median(iters),
-                statistics.median(walls),
-                statistics.median(objs),
-                "converged" if ok else "failed",
-                statistics.mean(iters),
-                statistics.pstdev(iters),
-            ]
-        )
+        rows.append([variant, "aggregate", statistics.median(iters),
+                     statistics.median([r["wall_ms"] for r in runs]),
+                     statistics.median([r["final_objective"] for r in runs]),
+                     "converged" if ok else "failed",
+                     statistics.mean(iters), statistics.pstdev(iters)])
     return rows
-
-
-def _summary_rows(records, per_method):
-    rows = [
-        [
-            r["method"],
-            r["seed"],
-            r["iterations"],
-            r["wall_ms"],
-            r["final_objective"],
-            r["status"],
-            "",
-            "",
-        ]
-        for r in records
-    ]
-    return rows + _aggregate_rows(per_method)
 
 
 def _run_cell(spec, run, variant, seed, columns):
@@ -343,66 +323,55 @@ def cmd_gen(spec):
     path = spec["out"]
     if os.path.isdir(path) or path.endswith(os.sep):
         path = os.path.join(path, f"problem_{spec['kind']}_{seed}.npz")
+    elif not path.endswith(".npz"):
+        path += ".npz"  # as np.savez would, so that the path printed is the file written
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    if isinstance(problem, QPProblem):
-        np.savez(
-            path,
-            kind="qp",
-            Q=problem.Q,
-            q=problem.q,
-            p=problem.p,
-            strong_convexity=problem.strong_convexity,
-            smoothness=problem.smoothness,
-            kappa=problem.kappa,
-            seed=seed,
-        )
-    else:
-        np.savez(
-            path,
-            kind=problem.loss,
-            A=problem.A,
-            b=problem.b,
-            lam=problem.lam,
-            x_star=problem.x_star if problem.x_star is not None else np.array([]),
-            noise=problem.noise,
-            seed=seed,
-        )
+    values = {field.name: getattr(problem, field.name) for field in dataclasses.fields(problem)}
+    np.savez(path, kind=spec["kind"], **{k: v for k, v in values.items() if v is not None})
     print(path)
     return 0
 
 
 def _load_problem_file(path):
+    """The problem a `gen` file holds, and its kind.
+
+    The file's arrays are ``kind`` and the fields of the kind's problem
+    dataclass; a field with a default may be missing.  Files of the first
+    format load too: they stored a regression problem's loss only as its
+    kind, and a missing planted vector as an empty array.
+    """
     try:
         data = np.load(path, allow_pickle=False)
-    except OSError as err:
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            arrays = {name: data[name] for name in data.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as err:
         raise UsageError(f"cannot read problem file {path}: {err}") from None
-    kind = str(data["kind"])
-    if kind == "qp":
-        return (
-            QPProblem(
-                Q=data["Q"],
-                q=data["q"],
-                p=float(data["p"]),
-                strong_convexity=float(data["strong_convexity"]),
-                smoothness=float(data["smoothness"]),
-                kappa=float(data["kappa"]),
-                seed=int(data["seed"]),
-            ),
-            "qp",
-        )
-    x_star = data["x_star"]
-    return (
-        RegressionProblem(
-            A=data["A"],
-            b=data["b"],
-            loss=kind,
-            lam=float(data["lam"]),
-            x_star=x_star if x_star.size else None,
-            seed=int(data["seed"]),
-            noise=float(data["noise"]),
-        ),
-        kind,
-    )
+    if "kind" not in arrays:
+        raise UsageError(f"problem file {path} has no 'kind' array")
+    kind = str(arrays["kind"])
+    if kind not in KINDS:
+        raise UsageError(f"problem file {path} has unknown kind {kind!r}; choose from {KINDS}")
+    cls = QPProblem if kind == "qp" else RegressionProblem
+    values = {}
+    for field in dataclasses.fields(cls):
+        value = arrays.get(field.name)
+        if field.type is str:  # a problem's one string field is its kind
+            if value is not None and str(value) != kind:
+                raise UsageError(f"problem file {path} has kind {kind!r} but "
+                                 f"{field.name} {str(value)!r}")
+            values[field.name] = kind
+        elif value is None:
+            if field.default is dataclasses.MISSING is field.default_factory:
+                raise UsageError(f"problem file {path} has no {field.name!r} array")
+        elif value.ndim == 0:
+            values[field.name] = value.item()
+        elif value.size == 0 and field.default is None:
+            values[field.name] = None
+        else:
+            values[field.name] = value.tolist() if field.type is list else value
+    return cls(**values), kind
 
 
 def cmd_solve(spec):
@@ -410,8 +379,8 @@ def cmd_solve(spec):
     method = spec["methods"][0]
     if spec.get("problem_file"):
         problem, kind = _load_problem_file(spec["problem_file"])
-        spec = dict(spec)
-        spec["kind"] = kind
+        spec = dict(spec, kind=kind)
+        spec.setdefault("reg", _default_reg(kind))
     else:
         problem = _build_problem(spec, seed)
     f = smooth_part(problem)
@@ -576,7 +545,8 @@ def _assemble_spec(args):
             raise UsageError(f"{flag} list is empty")
 
     spec.setdefault("kind", "qp")
-    spec.setdefault("reg", "nonneg" if spec["kind"] == "qp" else "lasso")
+    if args.command != "solve" or not spec.get("problem_file"):
+        spec.setdefault("reg", _default_reg(spec["kind"]))  # else by the file's kind
     spec.setdefault("n", 200)
     if spec["kind"] == "qp":
         spec.setdefault("kappa", 1e4)

@@ -1,8 +1,8 @@
 """Core types: validated vectors, diagonal metrics, and problem interfaces.
 
 Everything downstream works with plain float64 numpy arrays for vectors and
-with positive-definite diagonal (or block-diagonal) metrics U.  The metric
-induces the inner product <x, y>_U = x' U y and the norm ||x||_U.
+with positive-definite diagonal metrics U.  The metric induces the inner
+product <x, y>_U = x' U y and the norm ||x||_U.
 """
 
 import abc
@@ -134,34 +134,16 @@ class DiagonalMetric:
         return f"DiagonalMetric(dim={self.dim}, u_min={self.u_min:g}, u_max={self.u_max:g})"
 
 
-class BlockDiagonalMetric(DiagonalMetric):
-    """Concatenation of per-block diagonal metrics.
+def BlockDiagonalMetric(blocks):
+    """The DiagonalMetric of the concatenated per-block diagonals.
 
-    Behaves exactly like the DiagonalMetric over the stacked space; the block
-    structure is retained for per-block access (consensus, separable proxes).
+    Each block is a DiagonalMetric or a diagonal, validated as one.
     """
-
-    __slots__ = ("blocks", "offsets")
-
-    def __init__(self, blocks):
-        if not blocks:
-            raise ValueError("need at least one block")
-        self.blocks = [
-            b if isinstance(b, DiagonalMetric) else DiagonalMetric(b) for b in blocks
-        ]
-        super().__init__(np.concatenate([b.diag for b in self.blocks]))
-        sizes = [b.dim for b in self.blocks]
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    @property
-    def n_blocks(self):
-        return len(self.blocks)
-
-    def block_slice(self, j):
-        return slice(int(self.offsets[j]), int(self.offsets[j + 1]))
-
-    def __repr__(self):
-        return f"BlockDiagonalMetric(blocks={self.n_blocks}, dim={self.dim})"
+    if not blocks:
+        raise ValueError("need at least one block")
+    return DiagonalMetric(np.concatenate([
+        (b if isinstance(b, DiagonalMetric) else DiagonalMetric(b)).diag for b in blocks
+    ]))
 
 
 class SmoothObjective(abc.ABC):

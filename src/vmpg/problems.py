@@ -74,6 +74,9 @@ class QuadraticObjective(_PointMemo):
     def __init__(self, Q, q, p=0.0, strong_convexity=None, smoothness=None):
         self.Q = np.asarray(Q, dtype=float)
         self.q = np.asarray(q, dtype=float)
+        if self.q.ndim != 1 or self.Q.shape != self.q.shape * 2:
+            raise ValueError(f"Q has shape {self.Q.shape} and q {self.q.shape}; "
+                             "need (n, n) and (n,)")
         self.p = float(p)
         self.strong_convexity = strong_convexity
         self.smoothness = smoothness
@@ -127,6 +130,12 @@ class QuadraticObjective(_PointMemo):
         return self.value(self.minimizer)
 
 
+def _check_design(A, b):
+    """ValueError naming A and b unless A is N x n and b has N entries."""
+    if A.ndim != 2 or b.shape != A.shape[:1]:
+        raise ValueError(f"A has shape {A.shape} and b {b.shape}; need (N, n) and (N,)")
+
+
 def _loss_constants(n_rows, scale, ridge):
     """(scale, ridge) as floats, scale = 1/n_rows when None.
 
@@ -158,6 +167,7 @@ class _AffineLoss(_PointMemo):
     def __init__(self, A, b, scale=None, ridge=0.0):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
+        _check_design(self.A, self.b)
         self.scale, self.ridge = _loss_constants(self.A.shape[0], scale, ridge)
         self._extrapolates = self.A.size >= _GRAM_MIN_SIZE
         if ridge > 0:
@@ -219,10 +229,11 @@ def _least_squares(A, b, scale=None, ridge=0.0):
     the residual form, LeastSquaresObjective.
     """
     A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    _check_design(A, b)
     n_rows, n_cols = A.shape
     if n_rows < n_cols or A.size < _GRAM_MIN_SIZE:
         return LeastSquaresObjective(A, b, scale=scale, ridge=ridge)
-    b = np.asarray(b, dtype=float)
     scale, ridge = _loss_constants(n_rows, scale, ridge)
     Q = A.T @ A
     Q *= 2.0 * scale

@@ -8,7 +8,7 @@ The driver iterates
 where the metric U^k comes from a scalar hybrid BB rule (``pg-bb``), the
 diagonal BB subproblem (``vmpg-dbb``), or is held fixed (``pg-fixed``).
 Steps are accepted under a nonmonotone sufficient-decrease test and the
-metric is rescaled by beta until acceptance.  ``fista`` is the usual
+metric is rescaled by beta until acceptance.  Method ``fista`` is the usual
 accelerated baseline: x^{k+1} = prox_{g, I/alpha}(z^k - alpha grad f(z^k))
 from an extrapolated point z^k, with the same trace schema.
 
@@ -38,7 +38,7 @@ image at its extrapolated point is combined from the images it has.
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,12 +199,6 @@ def composite_value(f, g, x):
 def _g_at_prox(g, x):
     """g(x) at a point x that g's prox returned: g.prox_value unless it is None."""
     return g.value(x) if g.prox_value is None else g.prox_value
-
-
-def gradient_mapping(f, g, x, metric):
-    """G_U(x) = U (x - prox_{g,U}(x - U^{-1} grad f(x)))."""
-    step = g.prox(x - metric.apply_inverse(f.gradient(x)), metric)
-    return metric.apply(x - step)
 
 
 def proximal_step(f, g, x, grad, metric):
@@ -582,15 +576,3 @@ def solve(f, g, x0, config=None):
                                                  duality_gap)
     return SolveResult(x=x, status=status, trace=trace, iterations=len(trace),
                        final_objective=f_x, stopped_by=stopped_by)
-
-
-def fista(f, g, x0, stepsize=None, config=None):
-    """Accelerated proximal gradient (no restart): solve with method "fista".
-
-    stepsize replaces config.fixed_stepsize; without it alpha is 1/L, or 1.0
-    when backtracking is active (any line_search mode except "off") and f
-    exposes no L.  Under backtracking alpha shrinks until the standard
-    quadratic upper-bound test holds; otherwise it must satisfy alpha <= 1/L.
-    """
-    config = replace(config or SolverConfig(), method="fista", fixed_stepsize=stepsize)
-    return solve(f, g, x0, config)

@@ -9,8 +9,15 @@ import pytest
 
 import vmpg.cli
 from vmpg import __version__
-from vmpg.cli import _assemble_spec, _config_hash, build_parser, main
-from vmpg.problems import generate_qp
+from vmpg.cli import (
+    _assemble_spec,
+    _build_problem,
+    _config_hash,
+    _load_problem_file,
+    build_parser,
+    main,
+)
+from vmpg.problems import generate_qp, generate_regression
 
 
 def read_lines(path):
@@ -22,6 +29,16 @@ def data_rows(path):
     """CSV rows with comments and the column header stripped."""
     lines = [ln for ln in read_lines(path) if not ln.startswith("#")]
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def assert_same_problem(got, want):
+    """The two problem dataclasses are of one type and equal field by field."""
+    assert type(got) is type(want)
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(getattr(got, name), value)
+        else:
+            assert getattr(got, name) == value, name
 
 
 def snapshot(root):
@@ -255,6 +272,94 @@ class TestGenAndSolve:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("content", ["npy", "truncated-npz"])
+    def test_unreadable_problem_file_is_usage_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.npz"
+        np.savez(path, kind="qp", Q=np.eye(2), q=np.ones(2))
+        if content == "npy":
+            path = tmp_path / "bad.npy"
+            np.save(path, np.ones(3))
+        else:
+            path.write_bytes(path.read_bytes()[:100])
+        assert main(["solve", "--problem", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("vmpg: error: cannot read problem file")
+
+    def test_gen_prints_the_file_it_wrote(self, tmp_path, capsys):
+        target = str(tmp_path / "g" / "inst")
+        assert main(["gen", "--kind", "qp", "--n", "5", "--seed", "1", "--out", target]) == 0
+        path = capsys.readouterr().out.strip()
+        assert path == target + ".npz"
+        assert os.listdir(tmp_path / "g") == ["inst.npz"]
+        assert main(["solve", "--problem", path, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("kind, n_samples", [("qp", None), ("ls", 40), ("logistic", 40)])
+    def test_gen_round_trip_rebuilds_the_problem(self, tmp_path, capsys, kind, n_samples):
+        argv = ["gen", "--kind", kind, "--n", "6", "--seed", "3", "--out", str(tmp_path) + os.sep]
+        assert main(argv + (["--n-samples", str(n_samples)] if n_samples else [])) == 0
+        spec = {"kind": kind, "n": 6, "kappa": 1e4, "n_samples": n_samples}
+        loaded, loaded_kind = _load_problem_file(capsys.readouterr().out.strip())
+        assert loaded_kind == kind
+        assert_same_problem(loaded, _build_problem(spec, 3))
+
+    def test_a_regression_file_of_the_first_format_loads(self, tmp_path):
+        """Files that stored the loss only as the kind, and no planted vector
+        as an empty array, load to the problem they were written from."""
+        problem = generate_regression(30, 4, "ls", 2)
+        problem.x_star = None
+        path = tmp_path / "old.npz"
+        np.savez(path, kind="ls", A=problem.A, b=problem.b, lam=problem.lam,
+                 x_star=np.array([]), noise=problem.noise, seed=2)
+        loaded, kind = _load_problem_file(str(path))
+        assert kind == "ls"
+        assert_same_problem(loaded, problem)
+
+    @pytest.mark.parametrize("arrays, named", [
+        ({"Q": np.eye(2), "q": np.ones(2)}, "'kind'"),
+        ({"kind": "qp", "Q": np.eye(2)}, "'q'"),
+        ({"kind": "qp", "Q": np.eye(3), "q": np.ones(4), "p": 0.0, "strong_convexity": 1.0,
+          "smoothness": 1.0, "kappa": 1.0, "seed": 0}, "Q has shape (3, 3) and q (4,)"),
+        ({"kind": "ls", "A": np.ones((5, 2)), "b": np.ones(4), "lam": 0.1},
+         "A has shape (5, 2) and b (4,)"),
+        ({"kind": "logistic", "A": np.ones((5, 2)), "b": np.ones(4), "lam": 0.1},
+         "A has shape (5, 2) and b (4,)"),
+        ({"kind": "svm", "A": np.ones((5, 2)), "b": np.ones(5), "lam": 0.1}, "'svm'"),
+        ({"kind": "ls", "loss": "logistic", "A": np.ones((5, 2)), "b": np.ones(5),
+          "lam": 0.1}, "kind 'ls' but loss 'logistic'"),
+    ], ids=["no-kind", "no-q", "Q-q", "A-b-ls", "A-b-logistic", "bad-kind", "kind-loss"])
+    def test_malformed_problem_file_is_usage_error(self, tmp_path, capsys, arrays, named):
+        path = tmp_path / "bad.npz"
+        np.savez(path, **arrays)
+        out = tmp_path / "o"
+        assert main(["solve", "--problem", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vmpg: error:") and named in err
+        assert not out.exists()
+
+    def test_a_problem_file_takes_its_regularizer_from_its_kind(self, tmp_path, capsys):
+        """Without --reg, solving a gen file runs what solving the same
+        instance by its flags runs: an ls file gets Lasso, not Nonnegative."""
+        flags = ["--kind", "ls", "--n", "6", "--n-samples", "40", "--seed", "1"]
+        assert main(["gen", *flags, "--out", str(tmp_path / "inst.npz")]) == 0
+        capsys.readouterr()
+        runs = []
+        for source in (["--problem", str(tmp_path / "inst.npz"), "--seed", "1"], flags):
+            out = str(tmp_path / f"o{len(runs)}")
+            assert main(["solve", *source, "--timing", "none", "--out", out]) == 0
+            line = capsys.readouterr().out
+            runs.append((line, data_rows(os.path.join(out, "trace_vmpg-dbb_1.csv"))))
+        assert runs[0] == runs[1]
+        assert "iterations=76 " in runs[0][0]
+
+    def test_data_needs_a_regression_kind(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("y,a,b\n1,0.5,2\n-1,1.5,0\n1,2,1\n")
+        out = tmp_path / "o"
+        assert main(["bench", "--data", str(data), "--out", str(out)]) == 1
+        assert "--kind ls|logistic" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["bench", "--kind", "logistic", "--data", str(data), "--max-iter", "3",
+                     "--out", str(out)]) in (0, 2)
 
 
 class TestConfigAndEnvironment:

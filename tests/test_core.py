@@ -105,12 +105,6 @@ class TestBlockDiagonalMetric:
         np.testing.assert_array_equal(big.diag, [1.0, 2.0, 3.0])
         assert big.dim == 3
 
-    def test_block_slices_partition_the_dimension(self):
-        blocks = [DiagonalMetric(np.ones(2)), DiagonalMetric(np.ones(3))]
-        big = BlockDiagonalMetric(blocks)
-        assert big.block_slice(0) == slice(0, 2)
-        assert big.block_slice(1) == slice(2, 5)
-
     def test_norm_matches_diagonal_equivalent(self):
         rng = np.random.default_rng(3)
         blocks = [DiagonalMetric(rng.uniform(0.5, 2.0, 3)) for _ in range(2)]

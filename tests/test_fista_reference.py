@@ -46,7 +46,6 @@ from vmpg.solver import (
     SolverConfig,
     TraceRecord,
     composite_value,
-    fista,
     solve,
 )
 
@@ -385,10 +384,11 @@ def test_solve_matches_the_standalone_loop(kind, reg, ls_mode, max_backtracks):
 @pytest.mark.parametrize("ls_mode", ["nonmonotone", "monotone", "off"])
 @pytest.mark.parametrize("kind", ["qp", "ls", "logistic"])
 def test_an_explicit_stepsize_matches_the_standalone_loop(kind, ls_mode):
-    config = SolverConfig(method="fista", line_search=ls_mode, eps_tol=1e-8, max_iter=300)
+    config = SolverConfig(method="fista", fixed_stepsize=0.5, line_search=ls_mode,
+                          eps_tol=1e-8, max_iter=300)
     (got, got_calls), (want, want_calls) = run_both(
         kind, "lasso",
-        lambda f, g, x0: fista(f, g, x0, stepsize=0.5, config=config),
+        lambda f, g, x0: solve(f, g, x0, config),
         lambda f, g, x0: reference_fista(f, g, x0, stepsize=0.5, config=config),
     )
     assert got == want
@@ -482,14 +482,16 @@ LARGE_KINDS = ["qp-400", "lasso-ls", "ls-wide", "logistic"]
 @pytest.mark.parametrize("kind", LARGE_KINDS)
 def test_solve_on_a_large_affine_objective_matches_the_extrapolating_loop(
         kind, reg, ls_mode, step, max_backtracks):
-    config = SolverConfig(method="fista", line_search=ls_mode, eps_tol=1e-8, max_iter=150,
-                          max_backtracks=max_backtracks)
     runs = []
-    for solver in (fista, extrapolating_fista):
+    for reference in (False, True):
         f = large(kind, 3)
         stepsize = None if step is None else step / f.smoothness
-        runs.append(digest(solver(f, LARGE_REGULARIZERS[reg](large_lam(kind)), np.zeros(f.dim),
-                                  stepsize=stepsize, config=config)))
+        g = LARGE_REGULARIZERS[reg](large_lam(kind))
+        config = SolverConfig(method="fista", fixed_stepsize=stepsize, line_search=ls_mode,
+                              eps_tol=1e-8, max_iter=150, max_backtracks=max_backtracks)
+        runs.append(digest(
+            extrapolating_fista(f, g, np.zeros(f.dim), stepsize=stepsize, config=config)
+            if reference else solve(f, g, np.zeros(f.dim), config)))
     got, want = runs
     assert got == want
     if step == 64.0:

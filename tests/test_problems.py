@@ -33,7 +33,6 @@ from vmpg.solver import (
     FistaState,
     SolverConfig,
     _fista_step,
-    fista,
     solve,
 )
 
@@ -881,9 +880,9 @@ FISTA_SETTINGS = pytest.mark.parametrize(
 def fista_run(f, line_search, step, lam=0.01):
     """FISTA from 0 with Lasso(lam), at stepsize 1/L or step/L (which backtracks)."""
     stepsize = None if step is None else step / f.smoothness
-    config = SolverConfig(method="fista", line_search=line_search, eps_tol=1e-8,
-                          max_iter=200)
-    result = fista(f, Lasso(lam), np.zeros(f.dim), stepsize=stepsize, config=config)
+    config = SolverConfig(method="fista", fixed_stepsize=stepsize, line_search=line_search,
+                          eps_tol=1e-8, max_iter=200)
+    result = solve(f, Lasso(lam), np.zeros(f.dim), config)
     assert result.iterations > 5
     assert (sum(r.backtracks for r in result.trace) > 0) == (step is not None)
     return result
@@ -949,8 +948,8 @@ class TestNoExtrapolatedImageOutlivesASolve:
         g = Faulty(lam, 20, np.nan) if end == NUMERICAL_FAILURE else Lasso(lam)
         stepsize = 64.0 / f.smoothness if end == LINE_SEARCH_FAILURE else None
         with np.errstate(invalid="ignore"):
-            result = fista(f, g, np.zeros(f.dim), stepsize=stepsize,
-                           config=SolverConfig(max_backtracks=0))
+            result = solve(f, g, np.zeros(f.dim), SolverConfig(
+                method="fista", fixed_stepsize=stepsize, max_backtracks=0))
         assert result.status == end
         if end == NUMERICAL_FAILURE:
             assert result.iterations == 19

@@ -24,8 +24,6 @@ from vmpg.solver import (
     LineSearchError,
     SolverConfig,
     composite_value,
-    fista,
-    gradient_mapping,
     line_search,
     proximal_step,
     solve,
@@ -45,27 +43,6 @@ def quadratic(diag, q=None, p=0.0):
         strong_convexity=float(d.min()),
         smoothness=float(d.max()),
     )
-
-
-class TestGradientMapping:
-    def test_zero_regularizer_returns_gradient(self):
-        f = quadratic([2.0, 4.0], q=[1.0, -1.0])
-        x = np.array([0.5, 0.25])
-        u = DiagonalMetric(np.array([3.0, 7.0]))
-        np.testing.assert_allclose(gradient_mapping(f, Zero(), x, u), f.gradient(x))
-
-    def test_zero_at_unconstrained_minimum(self):
-        f = quadratic([2.0, 4.0], q=[-2.0, -4.0])  # minimizer (1, 1)
-        u = DiagonalMetric(np.array([1.0, 5.0]))
-        out = gradient_mapping(f, Zero(), np.array([1.0, 1.0]), u)
-        np.testing.assert_allclose(out, np.zeros(2), atol=1e-12)
-
-    def test_zero_at_interior_constrained_minimum(self):
-        """When the nonneg constraint is slack at x*, the mapping vanishes."""
-        f = quadratic([2.0, 2.0], q=[-2.0, -2.0])  # minimizer (1, 1), interior
-        u = DiagonalMetric(np.array([0.5, 4.0]))
-        out = gradient_mapping(f, Nonnegative(), np.array([1.0, 1.0]), u)
-        np.testing.assert_allclose(out, np.zeros(2), atol=1e-12)
 
 
 class TestStepMachinery:
@@ -295,13 +272,13 @@ class TestFista:
 
     def test_starting_at_minimizer_terminates_immediately(self):
         f = quadratic([2.0, 3.0], q=[-2.0, -3.0])  # minimizer (1, 1)
-        res = fista(f, Zero(), np.array([1.0, 1.0]), config=SolverConfig(method="fista"))
+        res = solve(f, Zero(), np.array([1.0, 1.0]), SolverConfig(method="fista"))
         assert res.status == CONVERGED
         assert res.iterations == 1
 
     def test_explicit_stepsize_overrides_smoothness(self):
         f = quadratic([2.0], q=[-2.0])
-        res = fista(f, Zero(), np.zeros(1), stepsize=0.5, config=SolverConfig(method="fista"))
+        res = solve(f, Zero(), np.zeros(1), SolverConfig(method="fista", fixed_stepsize=0.5))
         assert res.status == CONVERGED
         np.testing.assert_allclose(res.x, [1.0], atol=1e-6)
 
@@ -310,7 +287,7 @@ class TestFista:
         f = QuadraticObjective(hess, np.zeros(1), 0.0)
         f.smoothness = None
         with pytest.raises(ValueError):
-            fista(f, Zero(), np.zeros(1), config=SolverConfig(method="fista", line_search="off"))
+            solve(f, Zero(), np.zeros(1), SolverConfig(method="fista", line_search="off"))
 
 
 class TestLogisticStepsize:

@@ -23,7 +23,6 @@ from vmpg.solver import (
     LINE_SEARCH_FAILURE,
     NUMERICAL_FAILURE,
     SolverConfig,
-    fista,
     line_search,
     solve,
 )
@@ -300,8 +299,9 @@ class TestBetaScaling:
     @pytest.mark.parametrize("beta", [2.0, 1e200])
     def test_fista_backtracking_ends_in_a_status(self, beta):
         """1/alpha overflows, or alpha / beta underflows to 0: both end in the status."""
-        config = SolverConfig(method="fista", beta=beta, max_backtracks=5000)
-        res = fista(_Cliff(1.0), Zero(), np.zeros(1), stepsize=1.0, config=config)
+        config = SolverConfig(method="fista", fixed_stepsize=1.0, beta=beta,
+                              max_backtracks=5000)
+        res = solve(_Cliff(1.0), Zero(), np.zeros(1), config)
         assert res.status == NUMERICAL_FAILURE and res.iterations == 0
 
     def test_line_search_raises_on_overflow_of_the_rescaled_metric(self):
