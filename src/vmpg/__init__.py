@@ -41,7 +41,6 @@ from .solver import (
     TraceRecord,
     composite_value,
     line_search,
-    proximal_step,
     solve,
     vmpg_step,
     warmup_step,

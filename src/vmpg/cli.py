@@ -65,6 +65,9 @@ SUMMARY_COLUMNS = (
     "iter_stddev",
 )
 SWEEP_COLUMNS = ("mu", "seed", "iter", "objective")
+# the flags that build an instance, which a problem file replaces
+GENERATOR_FLAGS = ("--kind", "--n", "--kappa", "--n-samples", "--noise", "--data",
+                   "--label-column")
 
 
 class UsageError(ValueError):
@@ -544,6 +547,11 @@ def _assemble_spec(args):
         if args.command in readers and spec.get(key) == []:
             raise UsageError(f"{flag} list is empty")
 
+    if args.command == "solve" and spec.get("problem_file"):
+        for flag in GENERATOR_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise UsageError(f"{flag} builds an instance; --problem reads one from "
+                                 "its file and would ignore it")
     spec.setdefault("kind", "qp")
     if args.command != "solve" or not spec.get("problem_file"):
         spec.setdefault("reg", _default_reg(spec["kind"]))  # else by the file's kind

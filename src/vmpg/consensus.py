@@ -27,6 +27,7 @@ from .solver import (
     SolverConfig,
     TraceRecord,
     _advance,
+    _duality_gap,
     _iterate,
     _reference_value,
     _warmup,
@@ -117,7 +118,15 @@ class _StackedLeastSquares(_PointMemo, _Stacked):
     and allocates nothing; each node's products go through the entry point
     _node_product picks for its layout.  Evaluating one stack from two
     threads at once is not safe.
+
+    The stack also keeps a copy of the image of the first point it
+    evaluates, and serves it whenever that point comes back: every solve on
+    the problem from the same start (each mode of a grid, each repeat)
+    begins at that point, so all but the first skip one pass of their
+    warm-up.  The first pays for the pass within its own run.
     """
+
+    _start = None  # (key, image) of the first point evaluated
 
     def __init__(self, objectives, block_dim):
         super().__init__(objectives, block_dim)
@@ -136,6 +145,20 @@ class _StackedLeastSquares(_PointMemo, _Stacked):
         self._ridge = np.array([f.ridge for f in self.objectives])
         self._two_scale = (2.0 * self._scale)[:, None]
         self._two_ridge = (2.0 * self._ridge)[:, None]
+
+    def _image(self, x):
+        key = (x.dtype, x.shape, x.tobytes())
+        if key != self._image_key:
+            if self._start is not None and key == self._start[0]:
+                image = self._start[1]
+            else:
+                image = self._image_of(x)
+                if self._start is None:
+                    # copied from what _image_of returned: its buffers are
+                    # overwritten by the next pass
+                    self._start = key, tuple(part.copy() for part in image)
+            self._image_value, self._image_key = image, key
+        return self._image_value
 
     def _image_of(self, x):
         self._image_key = None  # the memo's buffers are about to be overwritten
@@ -380,10 +403,16 @@ def solve_consensus(problem, x0, mode="local-dbb", config=None):
     """Run consensus rounds from a shared starting point x0.
 
     Every node starts at x0; the rounds run under solve's driver, so they
-    proceed until config.stop_rule holds on the stacked iterates or
-    max_iter.  Returns the consensus point z with a per-round trace that
-    includes the bytes-exchanged cost metric.  The stacked objective, the
-    prox and the byte count are built once, before the first round.
+    proceed until config.stop_rule holds on the stacked iterates, a
+    certificate proves the consensus point optimal to rounding, or
+    max_iter.  The certificate needs every node's strong-convexity modulus
+    m_j (2 ridge on a split with ridge > 0): at the consensus point z,
+    F(z) - F* <= ||sum_j grad f_j(z)||^2 / (2 sum_j m_j), formed from the
+    node blocks of the gradient the round already holds and checked as
+    solve checks its certificates (see vmpg.solver._duality_gap).  Returns
+    the consensus point z with a per-round trace that includes the
+    bytes-exchanged cost metric.  The stacked objective, the prox and the
+    byte count are built once, before the first round.
     """
     if mode not in MODES:
         raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
@@ -394,6 +423,7 @@ def solve_consensus(problem, x0, mode="local-dbb", config=None):
         parts.f, parts.g, np.tile(x0, problem.n_nodes), config,
         lambda x: parts.record(_warmup(parts.f, parts.g, x, config)),
         lambda state: consensus_round(parts, state, mode, config),
+        _duality_gap(parts.f, parts.g),
     )
     return ConsensusResult(
         z=x[:problem.dim].copy(),

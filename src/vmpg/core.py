@@ -122,10 +122,6 @@ class DiagonalMetric:
         """U z."""
         return self.diag * z
 
-    def apply_inverse(self, z):
-        """U^{-1} z (exact for diagonal U)."""
-        return z / self.diag
-
     def norm(self, z):
         """||z||_U = sqrt(z' U z)."""
         return math.sqrt(np.dot(self.diag * z, z))

@@ -17,9 +17,10 @@ start (the warm-up step, or FISTA's initial state) and a step (``vmpg_step``,
 ``consensus_round`` or FISTA's step), and alone owns the run clock, the stop
 rule, the failure statuses and the result.  So ``stop_rule`` holds for FISTA
 too; its forward point is z^k - alpha grad f(z^k), and ``grad-map`` measures
-its own gradient map (z^k - x^{k+1}) / alpha.  A least-squares l1 solve by
-``vmpg-dbb``, ``pg-bb`` or ``pg-fixed`` has a third exit: a duality gap that
-proves the iterate optimal to rounding (``_duality_gap``).
+its own gradient map (z^k - x^{k+1}) / alpha.  A solve by ``vmpg-dbb``,
+``pg-bb`` or ``pg-fixed``, and every consensus mode, has a third exit where
+the pair (f, g) has a certificate: a bound on F(x) - F* that proves the
+iterate optimal to rounding (``_duality_gap``).
 
 ``solve`` and ``solve_consensus`` validate their inputs once, at the
 boundary; inside the loop, step pairs and metrics are built without O(n)
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import METRIC_FLOOR, DiagonalMetric, NumericalError, as_vector
-from .prox import ElasticNet, Lasso
+from .prox import Consensus, ElasticNet, Lasso, Zero
 from .stepsize import BBConfig, StepPair, StepsizeState, diagonal_bb, hybrid_bb
 
 METHODS = ("vmpg-dbb", "pg-bb", "pg-fixed", "fista")
@@ -56,16 +57,17 @@ LINE_SEARCH_FAILURE = "line-search-failure"
 NUMERICAL_FAILURE = "numerical-failure"
 GAP = "gap"  # the stop test of a certified exit, beside the STOP_RULES
 
-# A least-squares l1 solve checks its duality gap every _GAP_EVERY accepted
-# iterations and ends once the gap is at most _GAP_ROUNDING * eps *
-# (s ||b||^2 + |F(x)|), the rounding of the terms that form it.  Measured
-# with the gap taken at every iteration, pg-bb on 2000 x 500 lasso-ls
-# instances (seeds 30-34) reaches that bound, about 23 eps s ||b||^2 there,
-# by iteration 144-174; from then on its gap sits at 1.1 to 5.4 times
-# eps s ||b||^2 (per-run medians), with spikes to 131 on nonmonotone steps.
-# One gap costs about 7 us against about 85 us per iteration (one BLAS
-# thread on the Xeon that BENCH_18.json records), so checking every 8th
-# costs about 1% of a run.
+# A run with a certificate (_duality_gap) checks it every _GAP_EVERY
+# accepted iterations and ends once the gap is at most its rounding:
+# _GAP_ROUNDING * eps * (s ||b||^2 + |F(x)|) for a least-squares l1 solve,
+# the rounding of the terms that form it, and _GAP_ROUNDING * eps * |F(x)|
+# for a strong-convexity certificate.  Measured with the gap taken at every
+# iteration, pg-bb on 2000 x 500 lasso-ls instances (seeds 30-34) reaches
+# that bound, about 23 eps s ||b||^2 there, by iteration 144-174; from then
+# on its gap sits at 1.1 to 5.4 times eps s ||b||^2 (per-run medians), with
+# spikes to 131 on nonmonotone steps.  One l1 gap costs about 7 us against
+# about 85 us per iteration (one BLAS thread on the Xeon that BENCH_18.json
+# records), so checking every 8th costs about 1% of a run.
 _GAP_EVERY = 8
 _GAP_ROUNDING = 16.0
 _EPS = np.finfo(float).eps
@@ -201,12 +203,6 @@ def _g_at_prox(g, x):
     return g.value(x) if g.prox_value is None else g.prox_value
 
 
-def proximal_step(f, g, x, grad, metric):
-    """One forward-backward step; returns (x_new, forward_point)."""
-    y = x - metric.apply_inverse(grad)
-    return g.prox(y, metric), y
-
-
 def line_search(f, g, x, grad, metric, f_ref, config):
     """Backtrack the metric until the sufficient-decrease test holds.
 
@@ -220,7 +216,7 @@ def line_search(f, g, x, grad, metric, f_ref, config):
     """
     backtracks = 0
     while True:
-        y = x - grad / metric.diag  # proximal_step without its two calls
+        y = x - grad / metric.diag
         x_new = g.prox(y, metric)
         f_new = f.value(x_new) + _g_at_prox(g, x_new)
         if math.isnan(f_new):
@@ -449,10 +445,8 @@ def _stopped(state, prev_forward, config):
     return _norm(mapping) / max(1.0, _norm(state.x)) <= config.eps_tol
 
 
-def _duality_gap(f, g):
-    """The duality gap of a least-squares f with a Lasso or ElasticNet g, as
-    a function (x, grad f(x), F(x)) -> (gap, rounding); None for any other
-    pair.
+def _l1_gap(f, g):
+    """The duality gap of a least-squares f with a Lasso or ElasticNet g.
 
     With F = h + lam1 ||x||_1 and h(x) = s ||Ax - b||^2 + rho ||x||^2 (rho
     is f's ridge plus ElasticNet's lam2 / 2), F is the lasso on the design
@@ -464,17 +458,12 @@ def _duality_gap(f, g):
     rounding = _GAP_ROUNDING eps (s ||b||^2 + |F(x)|) bounds the rounding
     of the terms that form it.  (s, ||b||^2, b'Ax) come from f.dual_terms:
     the gap costs O(n) work, and no product or call of f.value or
-    f.gradient.
+    f.gradient.  None unless f has dual_terms.
     """
     terms = getattr(f, "dual_terms", None)
     if terms is None:
         return None
-    if type(g) is Lasso:
-        lam1, lam2 = g.lam, 0.0
-    elif type(g) is ElasticNet:
-        lam1, lam2 = g.lam1, g.lam2
-    else:
-        return None
+    lam1, lam2 = (g.lam, 0.0) if type(g) is Lasso else (g.lam1, g.lam2)
 
     def gap(x, grad, f_x):
         s, b_sq, b_ax = terms(x)
@@ -487,10 +476,78 @@ def _duality_gap(f, g):
     return gap
 
 
+def _modulus(m):
+    """m as a float if it is a strong-convexity modulus (0 < m < inf), else None."""
+    return float(m) if m is not None and 0.0 < m < math.inf else None
+
+
+def _strong_convexity_gap(m, blocks):
+    """gap(x, grad, F) = ||grad F||^2 / (2m), grad F the sum of grad's blocks.
+
+    For an m-strongly convex F the Polyak-Lojasiewicz inequality
+    F(x) - F* <= ||grad F(x)||^2 / (2m) holds (Karimi, Nutini & Schmidt
+    2016); rounding = _GAP_ROUNDING eps |F(x)|.  O(n) work, no product.
+    """
+    def gap(x, grad, f_x):
+        total = np.add.reduce(grad.reshape(blocks, -1), 0)
+        return float(total.dot(total)) / (2.0 * m), _GAP_ROUNDING * _EPS * abs(f_x)
+
+    return gap
+
+
+def _zero_gap(f, g):
+    """F = f with g = 0: the strong-convexity gap of f's own modulus, if any."""
+    m = _modulus(getattr(f, "strong_convexity", None))
+    return None if m is None else _strong_convexity_gap(m, 1)
+
+
+def _consensus_gap(f, g):
+    """A stacked f = sum_j f_j(x_j) (``f.objectives``, one per block) under
+    the Consensus indicator: at a consensus point x = (z, ..., z),
+    F(x) = sum_j f_j(z) is (sum_j m_j)-strongly convex in z with gradient
+    sum_j grad f_j(z), the sum of grad's node blocks.  None unless every
+    node declares its modulus m_j."""
+    nodes = getattr(f, "objectives", None)
+    if nodes is None or len(nodes) != g.n_blocks:
+        return None
+    moduli = [_modulus(getattr(node, "strong_convexity", None)) for node in nodes]
+    if None in moduli:
+        return None
+    return _strong_convexity_gap(sum(moduli), g.n_blocks)
+
+
+# The certificate of each regularizer type, as a function (f, g) -> gap or
+# None; see _duality_gap.
+_GAP_RULES = {
+    Lasso: _l1_gap,
+    ElasticNet: _l1_gap,
+    Zero: _zero_gap,
+    Consensus: _consensus_gap,
+}
+
+
+def _duality_gap(f, g):
+    """A bound on F(x) - F* for the pair (f, g), as a function
+    (x, grad f(x), F(x)) -> (gap, rounding); None for a pair without one.
+
+    - least-squares f (``dual_terms``) with Lasso or ElasticNet: the
+      residual-rescaling duality gap (_l1_gap);
+    - f with a strong-convexity modulus m and g = Zero: ||grad f||^2 / (2m);
+    - stacked nodes with moduli m_j and g = Consensus:
+      ||sum_j grad f_j||^2 / (2 sum_j m_j).
+
+    Each gap is formed from the iterate, the gradient and the objective
+    that the run already holds, and rounding bounds its rounding error.
+    """
+    rule = _GAP_RULES.get(type(g))
+    return None if rule is None else rule(f, g)
+
+
 def _iterate(f, g, x0, config, start, step, duality_gap=None):
     """state = start(x0), then state = step(state) until the stop rule holds
-    after a step, the duality gap (see _duality_gap) is within its rounding
-    after every _GAP_EVERY-th record, or the trace has max_iter records.
+    after a step, the certificate duality_gap (see _duality_gap) is within
+    its rounding after every _GAP_EVERY-th record, or the trace has max_iter
+    records.
 
     start returns the first state and its TraceRecord, or None if it takes
     no step.  x0 is validated by the caller.  Each record's wall_ms is the
@@ -533,8 +590,10 @@ def _iterate(f, g, x0, config, start, step, duality_gap=None):
 def solve(f, g, x0, config=None):
     """Run the configured method from x0 until the stopping test or max_iter.
 
-    vmpg-dbb, pg-bb and pg-fixed also end a least-squares solve under Lasso
-    or ElasticNet once its duality gap certifies x optimal to rounding.
+    vmpg-dbb, pg-bb and pg-fixed also end a run once a certificate proves
+    x optimal to rounding (see _duality_gap): a least-squares f under Lasso
+    or ElasticNet, an f with a strong-convexity modulus under Zero, and
+    stacked nodes that each have one under Consensus.
 
     Parameters
     ----------

@@ -5,10 +5,25 @@ than values catches last-bit drift that np.allclose would forgive.
 ``battery`` digests a fixed set of runs that reaches every method, mode and
 regularizer on the hot path, so that two implementations of that path can
 be compared run by run.
+
+Run as a script, it writes the battery as JSON, one run per line, so that
+two checkouts can be compared with diff:
+
+    python tests/digests.py OUT.json [--seed 0] [--max-iter 60]
+
+The script imports vmpg from the src/ next to it.
 """
 
+import argparse
 import dataclasses
+import hashlib
 import itertools
+import json
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
@@ -88,3 +103,31 @@ def battery(seed=0, max_iter=60):
             out["consensus", loss, nodes, mode, ls_mode, stop] = digest(
                 solve_consensus(problem, np.zeros(problem.dim), mode, config))
     return out
+
+
+def summary(entry):
+    """A battery entry as one line: status, iterations and a hash of its
+    whole digest, or the name of the error its config raised."""
+    if isinstance(entry, str):
+        return entry
+    status, iterations = entry[:2]
+    return f"{status} {iterations} {hashlib.sha256(repr(entry).encode()).hexdigest()[:16]}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Write the digest battery as JSON.")
+    parser.add_argument("out", help="the JSON file to write")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--max-iter", type=int, default=60)
+    args = parser.parse_args(argv)
+    runs = {"/".join(map(str, key)): summary(entry)
+            for key, entry in battery(args.seed, args.max_iter).items()}
+    with open(args.out, "w") as fh:
+        json.dump(runs, fh, indent=0, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(runs)} runs written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -222,8 +222,9 @@ class TestStoppedBy:
 
     @pytest.mark.parametrize("rule", ["forward-step", "grad-map"])
     def test_solve_consensus_names_its_stop_rule(self, rule):
+        # ridge 0: no node has a modulus, so the stop rule alone ends the run
         prob = generate_regression(n_samples=200, dim=5, loss="ls", seed=9)
-        problem = split_regression(prob, n_nodes=4, ridge=1e-2)
+        problem = split_regression(prob, n_nodes=4, ridge=0.0)
         result = solve_consensus(problem, np.zeros(5), "local-dbb",
                                  SolverConfig(stop_rule=rule, eps_tol=1e-6))
         assert (result.status, result.stopped_by) == (CONVERGED, rule)

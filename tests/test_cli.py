@@ -351,6 +351,29 @@ class TestGenAndSolve:
         assert runs[0] == runs[1]
         assert "iterations=76 " in runs[0][0]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--kind", "qp"),
+        ("--n", "3"),
+        ("--kappa", "5"),
+        ("--n-samples", "30"),
+        ("--noise", "0.5"),
+        ("--data", "d.csv"),
+        ("--label-column", "2"),
+    ])
+    def test_a_problem_file_rejects_a_generator_flag(self, tmp_path, capsys, flag, value):
+        """The file decides the instance, so a flag that builds one would be
+        ignored: it exits 1 and writes nothing."""
+        path = str(tmp_path / "inst.npz")
+        assert main(["gen", "--kind", "ls", "--n", "6", "--n-samples", "40",
+                     "--out", path]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["solve", "--problem", path, flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"vmpg: error: {flag} ") and "--problem" in err
+        assert not out.exists()
+        assert main(["solve", "--problem", path, "--out", str(out)]) == 0
+
     def test_data_needs_a_regression_kind(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("y,a,b\n1,0.5,2\n-1,1.5,0\n1,2,1\n")

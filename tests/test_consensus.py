@@ -28,6 +28,8 @@ from vmpg.solver import (
     MAX_ITER,
     LineSearchError,
     SolverConfig,
+    _GAP_EVERY,
+    _GAP_ROUNDING,
     line_search,
     solve,
     warmup_step,
@@ -155,8 +157,21 @@ def reference_round(problem, state, node_states, mode, config):
     return state, rec
 
 
+def reference_certified(problem, state):
+    """Whether the strong-convexity certificate holds at the consensus point
+    z of state: ||sum_j grad f_j(z)||^2 / (2 sum_j m_j) within 16 eps |F|,
+    m_j the nodes' moduli (none without a ridge)."""
+    moduli = [f.strong_convexity for f in problem.objectives]
+    if None in moduli:
+        return False
+    total = state.grad.reshape(problem.n_nodes, problem.dim).sum(axis=0)
+    gap = float(total @ total) / (2.0 * sum(moduli))
+    return gap <= _GAP_ROUNDING * np.finfo(float).eps * abs(state.f_x)
+
+
 def reference_solve(problem, x0, mode, config):
-    """(z, status, trace) of the per-node loop with the forward-step stop."""
+    """(z, status, trace) of the per-node loop with the forward-step stop and
+    the certificate checked every _GAP_EVERY records."""
     f = problem.stacked()
     g = Consensus(problem.n_nodes)
     m, n = problem.n_nodes, problem.dim
@@ -176,6 +191,9 @@ def reference_solve(problem, x0, mode, config):
             break
         trace.append(rec)
         if float(np.linalg.norm(state.forward - prev_forward)) <= config.eps_tol:
+            status = CONVERGED
+            break
+        if len(trace) % _GAP_EVERY == 0 and reference_certified(problem, state):
             status = CONVERGED
             break
     return state.x[:n].copy(), status, trace
@@ -378,10 +396,14 @@ class TestSolveConsensus:
         np.testing.assert_allclose(res.z, np.linalg.solve(lhs, rhs), atol=1e-6)
 
 
-def shards(loss):
-    """Three nodes over a 60x6 regression; monotone runs backtrack on it."""
+def shards(loss, ridge=1e-2):
+    """Three nodes over a 60x6 regression; monotone runs backtrack on it.
+
+    With ridge > 0 the certificate ends most runs within 16 rounds; with
+    ridge 0 the nodes have no modulus, and runs go on to max_iter or a
+    line-search failure."""
     prob = generate_regression(n_samples=60, dim=6, loss=loss, seed=0)
-    return split_regression(prob, n_nodes=3, ridge=1e-2)
+    return split_regression(prob, n_nodes=3, ridge=ridge)
 
 
 def rule_rows(rng, dim=5):
@@ -415,6 +437,24 @@ def rule_rows(rng, dim=5):
             add(s, y)
             swaps += 1
     return np.array(s_rows), np.array(y_rows)
+
+
+def check_against_the_per_node_reference(problem, mode, line_search_mode):
+    """solve_consensus and reference_solve agree bit for bit on problem."""
+    config = SolverConfig(
+        line_search=line_search_mode, mu=1e-6, eps_tol=1e-8, max_iter=300
+    )
+    got = solve_consensus(problem, np.zeros(6), mode, config)
+    z, status, trace = reference_solve(problem, np.zeros(6), mode, config)
+    assert got.status == status
+    assert got.iterations == len(trace)
+    assert got.z.tobytes() == z.tobytes()
+    assert [record_digest(r) for r in got.trace] == [record_digest(r) for r in trace]
+    # the certificate ends one monotone run (global-bb, logistic, ridge > 0)
+    # at round 8, before its first backtrack; every run it does not end
+    # early backtracks
+    if line_search_mode == "monotone" and got.stopped_by != "gap":
+        assert sum(r.backtracks for r in trace) > 0
 
 
 class TestBatchedRound:
@@ -477,18 +517,15 @@ class TestBatchedRound:
     def test_solve_matches_the_per_node_reference_bitwise(
         self, mode, loss, line_search_mode
     ):
-        problem = shards(loss)
-        config = SolverConfig(
-            line_search=line_search_mode, mu=1e-6, eps_tol=1e-8, max_iter=300
-        )
-        got = solve_consensus(problem, np.zeros(6), mode, config)
-        z, status, trace = reference_solve(problem, np.zeros(6), mode, config)
-        assert got.status == status
-        assert got.iterations == len(trace)
-        assert got.z.tobytes() == z.tobytes()
-        assert [record_digest(r) for r in got.trace] == [record_digest(r) for r in trace]
-        if line_search_mode == "monotone":
-            assert sum(r.backtracks for r in trace) > 0
+        check_against_the_per_node_reference(shards(loss), mode, line_search_mode)
+
+    @pytest.mark.parametrize("line_search_mode", ["nonmonotone", "monotone", "off"])
+    @pytest.mark.parametrize("loss", ["ls", "logistic"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_runs_without_a_certificate_match_the_per_node_reference_bitwise(
+        self, mode, loss, line_search_mode
+    ):
+        check_against_the_per_node_reference(shards(loss, 0.0), mode, line_search_mode)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_metric_build_per_round_plus_one_per_backtrack(self, mode, monkeypatch):

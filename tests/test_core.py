@@ -64,32 +64,6 @@ class TestNorm:
             )
 
 
-class TestApplyInverse:
-    def test_identity(self):
-        u = DiagonalMetric.identity(2)
-        np.testing.assert_allclose(
-            u.apply_inverse(np.array([4.0, -2.0])), [4.0, -2.0]
-        )
-
-    def test_elementwise_division(self):
-        u = DiagonalMetric(np.array([2.0, 4.0]))
-        np.testing.assert_allclose(
-            u.apply_inverse(np.array([4.0, -2.0])), [2.0, -0.5]
-        )
-
-    def test_zero(self):
-        u = DiagonalMetric(np.array([10.0]))
-        np.testing.assert_allclose(u.apply_inverse(np.zeros(1)), [0.0])
-
-    def test_inverse_of_apply_recovers_input(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            n = rng.integers(1, 12)
-            z = rng.standard_normal(n)
-            u = DiagonalMetric(rng.uniform(1e-3, 1e3, n))
-            np.testing.assert_allclose(u.apply_inverse(u.apply(z)), z, rtol=1e-12)
-
-
 class TestBlockDiagonalMetric:
     def test_apply_matches_per_block_concatenation(self):
         rng = np.random.default_rng(2)

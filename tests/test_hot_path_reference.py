@@ -52,7 +52,6 @@ from vmpg.solver import (
     _reference_value,
     _resolve_fixed_stepsize,
     _warmup,
-    proximal_step,
 )
 from vmpg.stepsize import StepPair, StepsizeState, _guard_pair
 
@@ -70,7 +69,8 @@ def reference_norm(v):
 def reference_line_search(f, g, x, grad, metric, f_ref, config):
     backtracks = 0
     while True:
-        x_new, y = proximal_step(f, g, x, grad, metric)
+        y = x - grad / metric.diag
+        x_new = g.prox(y, metric)
         f_new = f.value(x_new) + _g_at_prox(g, x_new)
         if math.isnan(f_new):
             raise NumericalError("NaN objective at the candidate point")

@@ -363,6 +363,8 @@ class ReferenceLeastSquares(SmoothObjective):
         self.b = np.asarray(b, dtype=float)
         self.scale = 1.0 / self.A.shape[0] if scale is None else float(scale)
         self.ridge = float(ridge)
+        if ridge > 0:  # the modulus a consensus certificate reads
+            self.strong_convexity = 2.0 * self.ridge
 
     @property
     def dim(self):

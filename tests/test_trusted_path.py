@@ -387,10 +387,11 @@ def _last_gradient_unused(clean, target, method):
     The VM-PG methods and consensus rounds evaluate the gradient at each
     accepted iterate, so a run that stops by its rule or at max_iter leaves
     the last one unused; when it ends in a line-search failure, that gradient
-    fed the failing step.  FISTA evaluates the gradient where it steps from.
+    fed the failing step, and when its certificate ended it, the gradient
+    formed the certificate.  FISTA evaluates the gradient where it steps from.
     """
     return (target == "gradient" and method != "fista"
-            and clean.status != LINE_SEARCH_FAILURE)
+            and clean.status != LINE_SEARCH_FAILURE and clean.stopped_by != "gap")
 
 
 class TestNaNEndsInAStatus:
