@@ -374,7 +374,26 @@ def _load_problem_file(path):
             values[field.name] = None
         else:
             values[field.name] = value.tolist() if field.type is list else value
-    return cls(**values), kind
+    problem = cls(**values)
+    if kind == "qp":
+        _check_modulus(problem, path)
+    return problem, kind
+
+
+def _check_modulus(problem, path):
+    """Reject a QP file whose strong_convexity m is above the least
+    eigenvalue of its Q, beyond that eigenvalue's rounding: solve ends a
+    --reg none run once ||grad f||^2 / (2m) certifies it, and an overstated
+    m would certify a point that is not optimal."""
+    m, Q = problem.strong_convexity, np.asarray(problem.Q, dtype=float)
+    if m is not None and not isinstance(m, (int, float)):
+        raise UsageError(f"problem file {path} has strong_convexity {m!r}; need a number")
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not np.isfinite(Q).all():
+        return  # the objective rejects a malformed Q, and a NaN has no m
+    eig = np.linalg.eigvalsh(Q)
+    if m is not None and m > eig[0] + 16 * Q.shape[0] * np.finfo(float).eps * np.abs(eig).max():
+        raise UsageError(f"problem file {path} declares strong_convexity {m!r}, above "
+                         f"the least eigenvalue {eig[0]!r} of its Q")
 
 
 def cmd_solve(spec):

@@ -123,7 +123,9 @@ class _StackedLeastSquares(_PointMemo, _Stacked):
     evaluates, and serves it whenever that point comes back: every solve on
     the problem from the same start (each mode of a grid, each repeat)
     begins at that point, so all but the first skip one pass of their
-    warm-up.  The first pays for the pass within its own run.
+    warm-up.  The first pays for the pass within its own run.  The kept
+    point never changes: a solve from another start computes its image as
+    it would without the copy.  The README gives the hit rates measured.
     """
 
     _start = None  # (key, image) of the first point evaluated

@@ -147,7 +147,9 @@ class SmoothObjective(abc.ABC):
 
     Implementations may expose the optional attributes ``smoothness`` (an L
     such that grad f is L-Lipschitz), ``strong_convexity`` (m), ``minimizer``
-    and ``optimal_value`` when they are known; None means unknown.
+    and ``optimal_value`` when they are known; None means unknown.  m must
+    be a true lower bound on f's curvature: solve ends a run once
+    ||grad f||^2 / (2m) certifies it, so an overstated m ends it early.
     """
 
     smoothness = None

@@ -66,6 +66,9 @@ class QuadraticObjective(_PointMemo):
     first such Q imports scipy.linalg.  Every other Q is applied as Q @ x.
     On the dsymv path the view is bound at construction, so Q must not be
     replaced or changed in place afterwards.
+
+    strong_convexity must be at most the least eigenvalue of Q (see
+    SmoothObjective); it is not checked against Q here.
     """
 
     _triangle = None  # column-major view of a large symmetric Q, else None

@@ -458,12 +458,18 @@ def _l1_gap(f, g):
     rounding = _GAP_ROUNDING eps (s ||b||^2 + |F(x)|) bounds the rounding
     of the terms that form it.  (s, ||b||^2, b'Ax) come from f.dual_terms:
     the gap costs O(n) work, and no product or call of f.value or
-    f.gradient.  None unless f has dual_terms.
+    f.gradient.  None unless f has dual_terms and g is a Lasso or an
+    ElasticNet.
     """
     terms = getattr(f, "dual_terms", None)
     if terms is None:
         return None
-    lam1, lam2 = (g.lam, 0.0) if type(g) is Lasso else (g.lam1, g.lam2)
+    if type(g) is Lasso:
+        lam1, lam2 = g.lam, 0.0
+    elif type(g) is ElasticNet:
+        lam1, lam2 = g.lam1, g.lam2
+    else:
+        return None
 
     def gap(x, grad, f_x):
         s, b_sq, b_ax = terms(x)
@@ -476,18 +482,20 @@ def _l1_gap(f, g):
     return gap
 
 
-def _modulus(m):
-    """m as a float if it is a strong-convexity modulus (0 < m < inf), else None."""
-    return float(m) if m is not None and 0.0 < m < math.inf else None
-
-
-def _strong_convexity_gap(m, blocks):
-    """gap(x, grad, F) = ||grad F||^2 / (2m), grad F the sum of grad's blocks.
+def _strong_convexity_gap(moduli, blocks):
+    """gap(x, grad, F) = ||grad F||^2 / (2m) with m = sum(moduli) and grad F
+    the sum of grad's blocks; None unless every modulus is in (0, inf).
 
     For an m-strongly convex F the Polyak-Lojasiewicz inequality
     F(x) - F* <= ||grad F(x)||^2 / (2m) holds (Karimi, Nutini & Schmidt
-    2016); rounding = _GAP_ROUNDING eps |F(x)|.  O(n) work, no product.
+    2016), so each modulus must be a true lower bound on its curvature: an
+    overstated one ends a run early.  rounding = _GAP_ROUNDING eps |F(x)|.
+    O(n) work, no product.
     """
+    if not all(m is not None and 0.0 < m < math.inf for m in moduli):
+        return None
+    m = sum(map(float, moduli))
+
     def gap(x, grad, f_x):
         total = np.add.reduce(grad.reshape(blocks, -1), 0)
         return float(total.dot(total)) / (2.0 * m), _GAP_ROUNDING * _EPS * abs(f_x)
@@ -495,52 +503,33 @@ def _strong_convexity_gap(m, blocks):
     return gap
 
 
-def _zero_gap(f, g):
-    """F = f with g = 0: the strong-convexity gap of f's own modulus, if any."""
-    m = _modulus(getattr(f, "strong_convexity", None))
-    return None if m is None else _strong_convexity_gap(m, 1)
-
-
-def _consensus_gap(f, g):
-    """A stacked f = sum_j f_j(x_j) (``f.objectives``, one per block) under
-    the Consensus indicator: at a consensus point x = (z, ..., z),
-    F(x) = sum_j f_j(z) is (sum_j m_j)-strongly convex in z with gradient
-    sum_j grad f_j(z), the sum of grad's node blocks.  None unless every
-    node declares its modulus m_j."""
-    nodes = getattr(f, "objectives", None)
-    if nodes is None or len(nodes) != g.n_blocks:
-        return None
-    moduli = [_modulus(getattr(node, "strong_convexity", None)) for node in nodes]
-    if None in moduli:
-        return None
-    return _strong_convexity_gap(sum(moduli), g.n_blocks)
-
-
-# The certificate of each regularizer type, as a function (f, g) -> gap or
-# None; see _duality_gap.
-_GAP_RULES = {
-    Lasso: _l1_gap,
-    ElasticNet: _l1_gap,
-    Zero: _zero_gap,
-    Consensus: _consensus_gap,
-}
-
-
 def _duality_gap(f, g):
     """A bound on F(x) - F* for the pair (f, g), as a function
     (x, grad f(x), F(x)) -> (gap, rounding); None for a pair without one.
 
+    - g = Zero and f with a strong-convexity modulus m: ||grad f||^2 / (2m);
+    - g = Consensus over a stacked f = sum_j f_j(x_j) (``f.objectives``,
+      one per block) whose nodes each have a modulus m_j: at a consensus
+      point x = (z, ..., z), F(x) = sum_j f_j(z) is (sum_j m_j)-strongly
+      convex in z with gradient sum_j grad f_j(z), the sum of grad's node
+      blocks, so ||sum_j grad f_j||^2 / (2 sum_j m_j);
     - least-squares f (``dual_terms``) with Lasso or ElasticNet: the
-      residual-rescaling duality gap (_l1_gap);
-    - f with a strong-convexity modulus m and g = Zero: ||grad f||^2 / (2m);
-    - stacked nodes with moduli m_j and g = Consensus:
-      ||sum_j grad f_j||^2 / (2 sum_j m_j).
+      residual-rescaling duality gap (_l1_gap).
 
     Each gap is formed from the iterate, the gradient and the objective
     that the run already holds, and rounding bounds its rounding error.
+    The moduli are the objectives' ``strong_convexity``; each must be a
+    true lower bound on its curvature.
     """
-    rule = _GAP_RULES.get(type(g))
-    return None if rule is None else rule(f, g)
+    if type(g) is Zero:
+        return _strong_convexity_gap([getattr(f, "strong_convexity", None)], 1)
+    if type(g) is Consensus:
+        nodes = getattr(f, "objectives", None)
+        if nodes is None or len(nodes) != g.n_blocks:
+            return None
+        return _strong_convexity_gap(
+            [getattr(node, "strong_convexity", None) for node in nodes], g.n_blocks)
+    return _l1_gap(f, g)
 
 
 def _iterate(f, g, x0, config, start, step, duality_gap=None):

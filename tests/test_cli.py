@@ -374,6 +374,25 @@ class TestGenAndSolve:
         assert not out.exists()
         assert main(["solve", "--problem", path, "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("declared, code", [
+        (0.5, 0), (1.0, 0), (1.0 + 1e-6, 1), (2.0, 1), ("one", 1),
+    ])
+    def test_a_qp_file_may_not_overstate_its_modulus(self, tmp_path, capsys, declared, code):
+        """A --reg none solve ends at ||grad f||^2 / (2m) with the file's m,
+        so a file whose strong_convexity is above the least eigenvalue of its
+        Q (1 here) exits 1 and writes nothing; an understated m is sound."""
+        problem = generate_qp(8, 50.0, 3)
+        path = tmp_path / "qp.npz"
+        np.savez(path, kind="qp", Q=problem.Q, q=problem.q, p=problem.p,
+                 strong_convexity=declared, smoothness=problem.smoothness,
+                 kappa=problem.kappa, seed=problem.seed)
+        out = tmp_path / "o"
+        assert main(["solve", "--problem", str(path), "--reg", "none",
+                     "--out", str(out)]) == code
+        if code:
+            assert "strong_convexity" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_data_needs_a_regression_kind(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("y,a,b\n1,0.5,2\n-1,1.5,0\n1,2,1\n")
