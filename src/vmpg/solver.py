@@ -57,17 +57,21 @@ LINE_SEARCH_FAILURE = "line-search-failure"
 NUMERICAL_FAILURE = "numerical-failure"
 GAP = "gap"  # the stop test of a certified exit, beside the STOP_RULES
 
-# A run with a certificate (_duality_gap) checks it every _GAP_EVERY
-# accepted iterations and ends once the gap is at most its rounding:
-# _GAP_ROUNDING * eps * (s ||b||^2 + |F(x)|) for a least-squares l1 solve,
-# the rounding of the terms that form it, and _GAP_ROUNDING * eps * |F(x)|
-# for a strong-convexity certificate.  Measured with the gap taken at every
-# iteration, pg-bb on 2000 x 500 lasso-ls instances (seeds 30-34) reaches
-# that bound, about 23 eps s ||b||^2 there, by iteration 144-174; from then
-# on its gap sits at 1.1 to 5.4 times eps s ||b||^2 (per-run medians), with
-# spikes to 131 on nonmonotone steps.  One l1 gap costs about 7 us against
-# about 85 us per iteration (one BLAS thread on the Xeon that BENCH_18.json
-# records), so checking every 8th costs about 1% of a run.
+# A run with a certificate (_duality_gap) checks it after every gap.every-th
+# record, a period each certificate sets for itself, and ends once the gap
+# is at most its rounding: _GAP_ROUNDING * eps * (s ||b||^2 + |F(x)|) for a
+# least-squares l1 solve, the rounding of the terms that form it, and
+# _GAP_ROUNDING * eps * |F(x)| for a strong-convexity certificate.
+# The l1 gap is checked every _GAP_EVERY records.  Measured with the gap
+# taken at every iteration, pg-bb on 2000 x 500 lasso-ls instances (seeds
+# 30-34) reaches its bound, about 23 eps s ||b||^2 there, by iteration
+# 144-174; from then on its gap sits at 1.1 to 5.4 times eps s ||b||^2
+# (per-run medians), with spikes to 131 on nonmonotone steps.  One l1 gap
+# costs about 7 us against about 85 us per iteration (one BLAS thread on the
+# Xeon that BENCH_18.json records): every 8th costs about 1% of a run, while
+# every record would cost about 8% to end a run about 3.5 iterations sooner.
+# A strong-convexity gap costs about 2.5 us against about 300 us per
+# consensus-ls round (BENCH_24.json), so it is checked after every record.
 _GAP_EVERY = 8
 _GAP_ROUNDING = 16.0
 _EPS = np.finfo(float).eps
@@ -479,6 +483,7 @@ def _l1_gap(f, g):
         return (f_x - c * (2.0 * s * (b_sq - b_ax) - c * h),
                 _GAP_ROUNDING * _EPS * (s * b_sq + abs(f_x)))
 
+    gap.every = _GAP_EVERY
     return gap
 
 
@@ -500,6 +505,7 @@ def _strong_convexity_gap(moduli, blocks):
         total = np.add.reduce(grad.reshape(blocks, -1), 0)
         return float(total.dot(total)) / (2.0 * m), _GAP_ROUNDING * _EPS * abs(f_x)
 
+    gap.every = 1
     return gap
 
 
@@ -519,7 +525,9 @@ def _duality_gap(f, g):
     Each gap is formed from the iterate, the gradient and the objective
     that the run already holds, and rounding bounds its rounding error.
     The moduli are the objectives' ``strong_convexity``; each must be a
-    true lower bound on its curvature.
+    true lower bound on its curvature.  The function's ``every`` is the
+    period of its check in records: 1 for a strong-convexity gap,
+    _GAP_EVERY for the l1 gap.
     """
     if type(g) is Zero:
         return _strong_convexity_gap([getattr(f, "strong_convexity", None)], 1)
@@ -535,8 +543,8 @@ def _duality_gap(f, g):
 def _iterate(f, g, x0, config, start, step, duality_gap=None):
     """state = start(x0), then state = step(state) until the stop rule holds
     after a step, the certificate duality_gap (see _duality_gap) is within
-    its rounding after every _GAP_EVERY-th record, or the trace has max_iter
-    records.
+    its rounding after a record whose count is a multiple of
+    duality_gap.every, or the trace has max_iter records.
 
     start returns the first state and its TraceRecord, or None if it takes
     no step.  x0 is validated by the caller.  Each record's wall_ms is the
@@ -546,6 +554,7 @@ def _iterate(f, g, x0, config, start, step, duality_gap=None):
     F(x0) if none.
     """
     t0 = time.perf_counter()
+    every = None if duality_gap is None else duality_gap.every
     trace = []
     status = MAX_ITER
     stopped_by = None
@@ -562,7 +571,7 @@ def _iterate(f, g, x0, config, start, step, duality_gap=None):
             if _stopped(state, prev_forward, config):
                 status, stopped_by = CONVERGED, config.stop_rule
                 break
-            if duality_gap is not None and len(trace) % _GAP_EVERY == 0:
+            if every is not None and len(trace) % every == 0:
                 gap, rounding = duality_gap(state.x, state.grad, state.f_x)
                 if gap <= rounding:
                     status, stopped_by = CONVERGED, GAP

@@ -28,7 +28,6 @@ from vmpg.solver import (
     MAX_ITER,
     LineSearchError,
     SolverConfig,
-    _GAP_EVERY,
     _GAP_ROUNDING,
     line_search,
     solve,
@@ -171,7 +170,7 @@ def reference_certified(problem, state):
 
 def reference_solve(problem, x0, mode, config):
     """(z, status, trace) of the per-node loop with the forward-step stop and
-    the certificate checked every _GAP_EVERY records."""
+    the certificate checked after every round, its period."""
     f = problem.stacked()
     g = Consensus(problem.n_nodes)
     m, n = problem.n_nodes, problem.dim
@@ -193,7 +192,7 @@ def reference_solve(problem, x0, mode, config):
         if float(np.linalg.norm(state.forward - prev_forward)) <= config.eps_tol:
             status = CONVERGED
             break
-        if len(trace) % _GAP_EVERY == 0 and reference_certified(problem, state):
+        if reference_certified(problem, state):
             status = CONVERGED
             break
     return state.x[:n].copy(), status, trace
@@ -450,9 +449,9 @@ def check_against_the_per_node_reference(problem, mode, line_search_mode):
     assert got.iterations == len(trace)
     assert got.z.tobytes() == z.tobytes()
     assert [record_digest(r) for r in got.trace] == [record_digest(r) for r in trace]
-    # the certificate ends one monotone run (global-bb, logistic, ridge > 0)
-    # at round 8, before its first backtrack; every run it does not end
-    # early backtracks
+    # the certificate ends the monotone logistic runs (ridge > 0) at round
+    # 6, before their first backtrack; every run it does not end that early
+    # backtracks
     if line_search_mode == "monotone" and got.stopped_by != "gap":
         assert sum(r.backtracks for r in trace) > 0
 

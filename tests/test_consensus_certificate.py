@@ -6,8 +6,10 @@ under Zero takes m from f; a consensus solve sums its nodes' moduli and
 takes grad F at the consensus point as the sum of the node gradients.  The
 bound is checked against closed-form optima (the normal equations, as A9
 forms them, and np.linalg.solve on a QP) and against a polished L-BFGS-B
-optimum for logistic nodes.  Without a modulus no certificate is formed,
-and every run is bitwise the run `_iterate` makes without one.
+optimum for logistic nodes.  The certificate is checked after every
+record, so a solve must end at the first record that a replay of its
+warm-up and steps finds certified.  Without a modulus no certificate is
+formed, and every run is bitwise the run `_iterate` makes without one.
 """
 
 import itertools
@@ -23,12 +25,21 @@ from vmpg.consensus import (
     MODES,
     ConsensusProblem,
     _StackedLeastSquares,
+    consensus_round,
     solve_consensus,
     split_regression,
 )
 from vmpg.problems import LeastSquaresObjective, generate_qp, generate_regression, smooth_part
 from vmpg.prox import Consensus, Zero
-from vmpg.solver import CONVERGED, SolverConfig, _duality_gap, solve
+from vmpg.solver import (
+    CONVERGED,
+    SolverConfig,
+    _GAP_ROUNDING,
+    _duality_gap,
+    solve,
+    vmpg_step,
+    warmup_step,
+)
 
 from digests import digest
 
@@ -61,6 +72,29 @@ def check_bound(gap, rounding, excess):
     assert gap >= excess - rounding, (gap, excess, rounding)
 
 
+def first_certified_record(f, g, x0, step, blocks, m, config):
+    """Replay warmup_step and then step(state), and return the number of
+    records after which ||sum of grad's blocks||^2 / (2m) is first within
+    16 eps |F|, or None within config.max_iter records.  As in a solve, the
+    warm-up's record is not checked."""
+    state, _ = warmup_step(f, g, x0, config)
+    for records in range(2, config.max_iter + 1):
+        state, _ = step(state)
+        total = state.grad.reshape(blocks, -1).sum(axis=0)
+        rounding = _GAP_ROUNDING * np.finfo(float).eps * abs(state.f_x)
+        if float(total @ total) / (2.0 * m) <= rounding:
+            return records
+    return None
+
+
+def first_certified_round(problem, mode, config):
+    """first_certified_record of solve_consensus(problem, 0, mode, config)."""
+    return first_certified_record(
+        problem.stacked(), Consensus(problem.n_nodes), np.zeros(problem.n_nodes * problem.dim),
+        lambda state: consensus_round(problem, state, mode, config),
+        problem.n_nodes, sum(f.strong_convexity for f in problem.objectives), config)
+
+
 # --- least-squares splits: the normal equations give F* ----------------------
 
 
@@ -86,7 +120,8 @@ def test_consensus_solves_end_optimal_to_rounding(mode, nodes):
     for seed in range(3):
         prob, x_star, value = pooled_ridge(seed)
         problem = split_regression(prob, nodes, ridge=RIDGE_TOTAL / nodes)
-        res = solve_consensus(problem, np.zeros(20), mode, SolverConfig(eps_tol=1e-12))
+        config = SolverConfig(eps_tol=1e-12)
+        res = solve_consensus(problem, np.zeros(20), mode, config)
         assert res.status == CONVERGED
         f, g = problem.stacked(), Consensus(nodes)
         gap, rounding = certificate_at(f, g, np.tile(res.z, nodes))
@@ -94,8 +129,41 @@ def test_consensus_solves_end_optimal_to_rounding(mode, nodes):
         if res.stopped_by == "gap":
             certified += 1
             assert gap <= rounding
-            assert res.iterations % vmpg.solver._GAP_EVERY == 0
+            assert res.iterations == first_certified_round(problem, mode, config)
     assert certified == 3
+
+
+@pytest.mark.parametrize("nodes", NODES)
+def test_consensus_solves_stop_at_the_first_certified_round(nodes):
+    """The strong-convexity certificate is checked after every record, so
+    a solve ends at the first round whose gap is within rounding, not at
+    the next multiple of the l1 gap's period."""
+    off_period = 0
+    for seed, mode in itertools.product(range(2), MODES):
+        prob, _, _ = pooled_ridge(seed)
+        problem = split_regression(prob, nodes, ridge=RIDGE_TOTAL / nodes)
+        config = SolverConfig(eps_tol=1e-12, max_iter=200)
+        first = first_certified_round(problem, mode, config)
+        res = solve_consensus(problem, np.zeros(20), mode, config)
+        assert (res.status, res.stopped_by, res.iterations) == (CONVERGED, "gap", first)
+        off_period += first % 8 != 0
+    assert off_period > 0
+
+
+@pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb", "pg-fixed"])
+def test_zero_solves_stop_at_the_first_certified_iteration(method):
+    off_period = 0
+    for seed in range(3):
+        prob, _, _ = pooled_ridge(seed)
+        f = LeastSquaresObjective(prob.A, prob.b, ridge=RIDGE_TOTAL)
+        config = SolverConfig(method=method, eps_tol=1e-12, max_iter=500)
+        first = first_certified_record(f, Zero(), np.zeros(20),
+                                       lambda state: vmpg_step(f, Zero(), state, config),
+                                       1, f.strong_convexity, config)
+        res = solve(f, Zero(), np.zeros(20), config)
+        assert (res.status, res.stopped_by, res.iterations) == (CONVERGED, "gap", first)
+        off_period += first % 8 != 0
+    assert off_period > 0
 
 
 @pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb", "pg-fixed"])

@@ -16,6 +16,7 @@ current code on a consensus problem shaped like the benchmark's.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -47,6 +48,7 @@ from vmpg.solver import (
     SolverState,
     TraceRecord,
     _advance,
+    _duality_gap,
     _g_at_prox,
     _iterate,
     _reference_value,
@@ -55,6 +57,7 @@ from vmpg.solver import (
 )
 from vmpg.stepsize import StepPair, StepsizeState, _guard_pair
 
+import digests
 from digests import battery, bits, digest
 
 # Runs that diverge without backtracking overflow before they end in
@@ -328,6 +331,23 @@ def test_the_battery_sees_a_change_in_summation_order(current_battery, monkeypat
     assert all(key[0] == "consensus" and key[2] > 1 for key in differing)
 
 
+def test_digest_diff_lists_the_moved_runs_by_kind(tmp_path, capsys):
+    parent = {"qp/zero/a": "converged 8 x", "qp/zero/b": "max-iter 60 y",
+              "consensus/ls/c": "converged 16 z", "consensus/ls/d": "converged 9 w"}
+    change = dict(parent, **{"consensus/ls/c": "converged 4 v"})
+    paths = [tmp_path / "parent.json", tmp_path / "change.json"]
+    for path, runs in zip(paths, (parent, change)):
+        path.write_text(json.dumps(runs))
+    assert digests.main(["--diff", *map(str, paths)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "consensus: 1 of 2 runs moved",
+        "  consensus/ls/c: converged 16 z -> converged 4 v",
+        "1 of 4 runs moved",
+    ]
+    assert digests.main(["--diff", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out == "0 of 4 runs moved\n"
+
+
 def _nodes(rng, row_major):
     """Three least-squares nodes over a 6-dim block, with or without
     row-major designs (column-major and strided views otherwise)."""
@@ -408,13 +428,14 @@ def rebuilding_round(problem, state, mode="local-dbb", config=None):
 
 
 def rebuilding_solve(problem, x0, mode, config):
-    """solve_consensus driving rebuilding_round."""
+    """solve_consensus driving rebuilding_round, under the same certificate."""
     f = problem.stacked()
     g = Consensus(problem.n_nodes)
     x, f_x, trace, status, stopped_by = _iterate(
         f, g, np.tile(x0, problem.n_nodes), config,
         lambda x: rebuilding_with_bytes(_warmup(f, g, x, config), problem),
         lambda state: rebuilding_round(problem, state, mode, config),
+        _duality_gap(f, g),
     )
     return ConsensusResult(x[:problem.dim].copy(), status, trace, len(trace), f_x,
                            stopped_by)
@@ -438,15 +459,20 @@ def _relaid(A, j):
     return big[:, :n]  # rows of a wider matrix
 
 
-def benchmark_shaped(row_major):
+def benchmark_shaped(row_major, moduli=True):
     """The benchmark's consensus instance at half its rows: a 2000 x 100
-    least-squares design split over 20 nodes of 9 to 191 rows."""
+    least-squares design split over 20 nodes of 9 to 191 rows.  Without
+    moduli its nodes declare no strong_convexity, so no certificate ends
+    its runs."""
     problem = split_regression(generate_regression(2000, 100, "ls", 11), 20, 1e-2)
-    if row_major:
-        return problem
-    nodes = [LeastSquaresObjective(_relaid(f.A, j), f.b, f.scale, f.ridge)
-             for j, f in enumerate(problem.objectives)]
-    return ConsensusProblem(nodes, problem.dim)
+    if not row_major:
+        nodes = [LeastSquaresObjective(_relaid(f.A, j), f.b, f.scale, f.ridge)
+                 for j, f in enumerate(problem.objectives)]
+        problem = ConsensusProblem(nodes, problem.dim)
+    if not moduli:
+        for f in problem.objectives:
+            f.strong_convexity = None
+    return problem
 
 
 @pytest.mark.parametrize("row_major", [True, False])
@@ -466,13 +492,16 @@ def test_benchmark_shaped_rounds_match_the_rebuilding_reference(row_major, monke
         assert bits(grads) == bits(want_grads)
     x0 = np.zeros(problem.dim)
     backtracks = 0
-    for mode, ls_mode in itertools.product(MODES, LINE_SEARCH_MODES):
+    for mode, ls_mode, moduli in itertools.product(MODES, LINE_SEARCH_MODES, (True, False)):
         config = SolverConfig(mu=1.0, line_search=ls_mode, eps_tol=1e-12, max_iter=6)
-        got = solve_consensus(benchmark_shaped(row_major), x0, mode, config)
+        got = solve_consensus(benchmark_shaped(row_major, moduli), x0, mode, config)
         with monkeypatch.context() as patched:
             patched.setattr(_StackedLeastSquares, "_image_of", allocating_image_of)
-            want = rebuilding_solve(benchmark_shaped(row_major), x0, mode, config)
+            want = rebuilding_solve(benchmark_shaped(row_major, moduli), x0, mode, config)
         assert digest(got) == digest(want)
-        assert got.iterations == 6
-        backtracks += sum(r.backtracks for r in got.trace)
+        if moduli:
+            assert got.stopped_by == "gap"
+        else:
+            assert got.iterations == 6
+            backtracks += sum(r.backtracks for r in got.trace)
     assert backtracks > 0
