@@ -309,13 +309,9 @@ def node_hybrid_bb(S, Y, config, prev_alpha):
     a1, a2, degenerate = _node_bb(S, Y)
     # a degenerate row's a1 and a2 may be inf or NaN; its alpha is discarded
     with np.errstate(invalid="ignore", over="ignore"):
-        alpha = a2 / config.delta
-        np.subtract(a1, alpha, out=alpha)
-        np.copyto(alpha, a2, where=a1 < config.delta * a2)
-    degenerate |= alpha <= 0.0
-    np.copyto(alpha, prev_alpha, where=degenerate)
-    np.maximum(alpha, config.alpha_min, out=alpha)  # np.clip, in place
-    return np.minimum(alpha, config.alpha_max, out=alpha)
+        alpha = np.where(a1 < config.delta * a2, a2, a1 - a2 / config.delta)
+    alpha = np.where(degenerate | (alpha <= 0.0), prev_alpha, alpha)
+    return np.minimum(np.maximum(alpha, config.alpha_min), config.alpha_max)
 
 
 def node_diagonal_bb(S, Y, config, u_prev):
@@ -324,22 +320,14 @@ def node_diagonal_bb(S, Y, config, u_prev):
     u_prev is the previous metric diagonal in the same (m, n) layout.
     """
     a1, a2, degenerate = _node_bb(S, Y)
-    # in place, a1 -> lo = 1/a1 and a2 -> hi = 1/a2 of the clipped values; a
-    # degenerate row takes the whole safeguard interval
-    for a, widest in ((a1, 1.0 / config.alpha_max), (a2, 1.0 / config.alpha_min)):
-        np.maximum(a, config.alpha_min, out=a)
-        np.minimum(a, config.alpha_max, out=a)
-        np.divide(1.0, a, out=a)
-        np.copyto(a, widest, where=degenerate)
-    # float noise can invert the ordering of eq-close values
-    lo, hi = np.minimum(a1, a2)[:, None], np.maximum(a1, a2)[:, None]
-    candidates = S * Y
-    candidates += config.mu * u_prev
-    denominator = S * S
-    denominator += config.mu
-    candidates /= denominator
-    np.maximum(candidates, lo, out=candidates)  # np.clip, in place
-    return np.minimum(candidates, hi, out=candidates)
+    a1 = np.minimum(np.maximum(a1, config.alpha_min), config.alpha_max)
+    a2 = np.minimum(np.maximum(a2, config.alpha_min), config.alpha_max)
+    lo = np.where(degenerate, 1.0 / config.alpha_max, 1.0 / a1)
+    hi = np.where(degenerate, 1.0 / config.alpha_min, 1.0 / a2)
+    swap = lo > hi  # float noise can invert the ordering of eq-close values
+    lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    candidates = (S * Y + config.mu * u_prev) / (S**2 + config.mu)
+    return np.minimum(np.maximum(candidates, lo[:, None]), hi[:, None])  # np.clip
 
 
 def consensus_metric(pair, mode, config, state, n_nodes):
@@ -423,11 +411,12 @@ def solve_consensus(problem, x0, mode="local-dbb", config=None):
     m_j (2 ridge on a split with ridge > 0): at the consensus point z,
     F(z) - F* <= ||sum_j grad f_j(z)||^2 / (2 sum_j m_j), formed from the
     node blocks of the gradient the round already holds and checked after
-    every round, so a solve ends at the first round it certifies (see
-    vmpg.solver._duality_gap).  Returns the consensus point z with a
-    per-round trace that includes the bytes-exchanged cost metric.  The
-    stacked objective, the prox and the byte count are built once, before
-    the first round.
+    every round over two or more nodes, so such a solve ends at the first
+    round it certifies; over one node it is checked where a pooled solve
+    under Zero checks its own (see vmpg.solver._duality_gap).  Returns the
+    consensus point z with a per-round trace that includes the
+    bytes-exchanged cost metric.  The stacked objective, the prox and the
+    byte count are built once, before the first round.
     """
     if mode not in MODES:
         raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")

@@ -70,8 +70,14 @@ GAP = "gap"  # the stop test of a certified exit, beside the STOP_RULES
 # costs about 7 us against about 85 us per iteration (one BLAS thread on the
 # Xeon that BENCH_18.json records): every 8th costs about 1% of a run, while
 # every record would cost about 8% to end a run about 3.5 iterations sooner.
-# A strong-convexity gap costs about 2.5 us against about 300 us per
-# consensus-ls round (BENCH_24.json), so it is checked after every record.
+# A strong-convexity gap over k > 1 node blocks (a Consensus solve) costs
+# about 2.5 us against about 300 us per consensus-ls round (BENCH_24.json),
+# so it is checked after every record.  Over one block (Zero, and a
+# one-node Consensus solve, which must stop where its pooled Zero solve
+# stops) it keeps _GAP_EVERY: it costs about 2 us there too, and on the
+# `vmpg bench --kind qp --reg none` grid at the default eps, checking every
+# record made an iteration 15.8% slower (median of 12 pairs) and ended no
+# run earlier (BENCH_24.json zero_period).
 _GAP_EVERY = 8
 _GAP_ROUNDING = 16.0
 _EPS = np.finfo(float).eps
@@ -495,7 +501,8 @@ def _strong_convexity_gap(moduli, blocks):
     F(x) - F* <= ||grad F(x)||^2 / (2m) holds (Karimi, Nutini & Schmidt
     2016), so each modulus must be a true lower bound on its curvature: an
     overstated one ends a run early.  rounding = _GAP_ROUNDING eps |F(x)|.
-    O(n) work, no product.
+    O(n) work, no product; checked after every record over more than one
+    block, every _GAP_EVERY records over one.
     """
     if not all(m is not None and 0.0 < m < math.inf for m in moduli):
         return None
@@ -505,7 +512,7 @@ def _strong_convexity_gap(moduli, blocks):
         total = np.add.reduce(grad.reshape(blocks, -1), 0)
         return float(total.dot(total)) / (2.0 * m), _GAP_ROUNDING * _EPS * abs(f_x)
 
-    gap.every = 1
+    gap.every = 1 if blocks > 1 else _GAP_EVERY
     return gap
 
 
@@ -526,8 +533,8 @@ def _duality_gap(f, g):
     that the run already holds, and rounding bounds its rounding error.
     The moduli are the objectives' ``strong_convexity``; each must be a
     true lower bound on its curvature.  The function's ``every`` is the
-    period of its check in records: 1 for a strong-convexity gap,
-    _GAP_EVERY for the l1 gap.
+    period of its check in records: 1 for a Consensus gap over more than
+    one node, _GAP_EVERY otherwise.
     """
     if type(g) is Zero:
         return _strong_convexity_gap([getattr(f, "strong_convexity", None)], 1)

@@ -6,10 +6,12 @@ under Zero takes m from f; a consensus solve sums its nodes' moduli and
 takes grad F at the consensus point as the sum of the node gradients.  The
 bound is checked against closed-form optima (the normal equations, as A9
 forms them, and np.linalg.solve on a QP) and against a polished L-BFGS-B
-optimum for logistic nodes.  The certificate is checked after every
-record, so a solve must end at the first record that a replay of its
-warm-up and steps finds certified.  Without a modulus no certificate is
-formed, and every run is bitwise the run `_iterate` makes without one.
+optimum for logistic nodes.  A consensus certificate over two or more
+nodes is checked after every record, a single-block one (Zero, or one
+node) after every _GAP_EVERY-th, so a solve must end at the first record
+of its period that a replay of its warm-up and steps finds certified.
+Without a modulus no certificate is formed, and every run is bitwise the
+run `_iterate` makes without one.
 """
 
 import itertools
@@ -34,6 +36,7 @@ from vmpg.prox import Consensus, Zero
 from vmpg.solver import (
     CONVERGED,
     SolverConfig,
+    _GAP_EVERY,
     _GAP_ROUNDING,
     _duality_gap,
     solve,
@@ -76,10 +79,14 @@ def first_certified_record(f, g, x0, step, blocks, m, config):
     """Replay warmup_step and then step(state), and return the number of
     records after which ||sum of grad's blocks||^2 / (2m) is first within
     16 eps |F|, or None within config.max_iter records.  As in a solve, the
-    warm-up's record is not checked."""
+    warm-up's record is not checked, and over one block only every
+    _GAP_EVERY-th record is."""
+    every = 1 if blocks > 1 else _GAP_EVERY
     state, _ = warmup_step(f, g, x0, config)
     for records in range(2, config.max_iter + 1):
         state, _ = step(state)
+        if records % every:
+            continue
         total = state.grad.reshape(blocks, -1).sum(axis=0)
         rounding = _GAP_ROUNDING * np.finfo(float).eps * abs(state.f_x)
         if float(total @ total) / (2.0 * m) <= rounding:
@@ -135,9 +142,10 @@ def test_consensus_solves_end_optimal_to_rounding(mode, nodes):
 
 @pytest.mark.parametrize("nodes", NODES)
 def test_consensus_solves_stop_at_the_first_certified_round(nodes):
-    """The strong-convexity certificate is checked after every record, so
-    a solve ends at the first round whose gap is within rounding, not at
-    the next multiple of the l1 gap's period."""
+    """Over two or more nodes the certificate is checked after every
+    record, so a solve ends at the first round whose gap is within
+    rounding, not at the next multiple of _GAP_EVERY; over one node it
+    ends where its pooled solve under Zero would, at a multiple."""
     off_period = 0
     for seed, mode in itertools.product(range(2), MODES):
         prob, _, _ = pooled_ridge(seed)
@@ -146,13 +154,14 @@ def test_consensus_solves_stop_at_the_first_certified_round(nodes):
         first = first_certified_round(problem, mode, config)
         res = solve_consensus(problem, np.zeros(20), mode, config)
         assert (res.status, res.stopped_by, res.iterations) == (CONVERGED, "gap", first)
-        off_period += first % 8 != 0
-    assert off_period > 0
+        off_period += first % _GAP_EVERY != 0
+    assert (off_period > 0) == (nodes > 1)
 
 
 @pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb", "pg-fixed"])
-def test_zero_solves_stop_at_the_first_certified_iteration(method):
-    off_period = 0
+def test_zero_solves_stop_at_the_first_certified_eighth_iteration(method):
+    """A Zero certificate keeps the period _GAP_EVERY: a solve ends at the
+    first multiple of it whose gap is within rounding."""
     for seed in range(3):
         prob, _, _ = pooled_ridge(seed)
         f = LeastSquaresObjective(prob.A, prob.b, ridge=RIDGE_TOTAL)
@@ -162,8 +171,6 @@ def test_zero_solves_stop_at_the_first_certified_iteration(method):
                                        1, f.strong_convexity, config)
         res = solve(f, Zero(), np.zeros(20), config)
         assert (res.status, res.stopped_by, res.iterations) == (CONVERGED, "gap", first)
-        off_period += first % 8 != 0
-    assert off_period > 0
 
 
 @pytest.mark.parametrize("method", ["vmpg-dbb", "pg-bb", "pg-fixed"])

@@ -16,7 +16,6 @@ current code on a consensus problem shaped like the benchmark's.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -57,7 +56,6 @@ from vmpg.solver import (
 )
 from vmpg.stepsize import StepPair, StepsizeState, _guard_pair
 
-import digests
 from digests import battery, bits, digest
 
 # Runs that diverge without backtracking overflow before they end in
@@ -329,23 +327,6 @@ def test_the_battery_sees_a_change_in_summation_order(current_battery, monkeypat
     differing = {key[:3] for key in changed if changed[key] != current_battery[key]}
     assert differing
     assert all(key[0] == "consensus" and key[2] > 1 for key in differing)
-
-
-def test_digest_diff_lists_the_moved_runs_by_kind(tmp_path, capsys):
-    parent = {"qp/zero/a": "converged 8 x", "qp/zero/b": "max-iter 60 y",
-              "consensus/ls/c": "converged 16 z", "consensus/ls/d": "converged 9 w"}
-    change = dict(parent, **{"consensus/ls/c": "converged 4 v"})
-    paths = [tmp_path / "parent.json", tmp_path / "change.json"]
-    for path, runs in zip(paths, (parent, change)):
-        path.write_text(json.dumps(runs))
-    assert digests.main(["--diff", *map(str, paths)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "consensus: 1 of 2 runs moved",
-        "  consensus/ls/c: converged 16 z -> converged 4 v",
-        "1 of 4 runs moved",
-    ]
-    assert digests.main(["--diff", str(paths[0]), str(paths[0])]) == 0
-    assert capsys.readouterr().out == "0 of 4 runs moved\n"
 
 
 def _nodes(rng, row_major):
