@@ -33,6 +33,7 @@ from .problems import (
     QPProblem,
     RegressionProblem,
     _default_lam,
+    _eigvalsh_error,
     generate_qp,
     generate_regression,
     load_csv,
@@ -391,7 +392,7 @@ def _check_modulus(problem, path):
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not np.isfinite(Q).all():
         return  # the objective rejects a malformed Q, and a NaN has no m
     eig = np.linalg.eigvalsh(Q)
-    if m is not None and m > eig[0] + 16 * Q.shape[0] * np.finfo(float).eps * np.abs(eig).max():
+    if m is not None and m > eig[0] + _eigvalsh_error(eig):
         raise UsageError(f"problem file {path} declares strong_convexity {m!r}, above "
                          f"the least eigenvalue {eig[0]!r} of its Q")
 

@@ -29,14 +29,20 @@ class _PointMemo(SmoothObjective):
     ``_extrapolates`` is True when the image is affine in x and the product
     costs more than a combination of two images: FISTA then forms the image
     at its extrapolated point from the images it has, and serves it to
-    ``value`` and ``gradient`` through ``_install_image``.
+    ``value`` and ``gradient`` through ``_install_image``.  An installed
+    image is served by the identity of its point, with no key: the caller
+    holds that point unchanged until it uninstalls the image.
     """
 
     _image_key = None
     _image_value = None
+    _installed = None  # (point, image) served by identity, else None
     _extrapolates = False
 
     def _image(self, x):
+        installed = self._installed
+        if installed is not None and x is installed[0]:
+            return installed[1]
         key = (x.dtype, x.shape, x.tobytes())
         if key != self._image_key:
             self._image_value = self._image_of(x)
@@ -44,9 +50,8 @@ class _PointMemo(SmoothObjective):
         return self._image_value
 
     def _install_image(self, x, image):
-        """Serve image as the image of x, or forget the memo if x is None."""
-        self._image_key = None if x is None else (x.dtype, x.shape, x.tobytes())
-        self._image_value = image
+        """Serve image to reads of the array x itself, until a call with x None."""
+        self._installed = None if x is None else (x, image)
 
 
 # A matrix of at least this many entries (1 MiB of float64) is large: a tall
@@ -217,6 +222,12 @@ class LeastSquaresObjective(_AffineLoss):
         return self.scale, b_sq, float(self.b.dot(self._image(x))) + b_sq
 
 
+def _eigvalsh_error(eig):
+    """A bound on the absolute error of the eigenvalues eig that eigvalsh
+    returned for a symmetric matrix of order len(eig): 16 n eps max|eig|."""
+    return 16 * eig.shape[0] * np.finfo(float).eps * np.abs(eig).max()
+
+
 def _least_squares(A, b, scale=None, ridge=0.0):
     """scale * ||Ax - b||^2 + ridge * ||x||^2 in the cheaper of two exact forms.
 
@@ -228,8 +239,11 @@ def _least_squares(A, b, scale=None, ridge=0.0):
     smoothness is its top eigenvalue by eigvalsh.  Its value has an absolute
     rounding error of about eps * scale * ||b||^2, so near a zero residual
     it can dip just below 0.  The quadratic keeps scale, so that its
-    dual_terms give the least-squares duality gap.  Any other design keeps
-    the residual form, LeastSquaresObjective.
+    dual_terms give the least-squares duality gap.  Its strong_convexity is
+    the least eigenvalue from the same eigvalsh spectrum, rounded down by
+    _eigvalsh_error and floored at 2 ridge; None when that is not positive
+    (a rank-deficient design without a ridge).  Any other design keeps the
+    residual form, LeastSquaresObjective, whose modulus is 2 ridge alone.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -243,12 +257,14 @@ def _least_squares(A, b, scale=None, ridge=0.0):
     Q.flat[:: n_cols + 1] += 2.0 * ridge
     q = A.T @ b
     q *= -2.0 * scale
+    eig = np.linalg.eigvalsh(Q)
+    modulus = max(float(eig[0] - _eigvalsh_error(eig)), 2.0 * ridge)
     f = QuadraticObjective(
         Q,
         q,
         scale * float(b @ b),
-        strong_convexity=2.0 * ridge if ridge > 0 else None,
-        smoothness=float(np.linalg.eigvalsh(Q)[-1]),
+        strong_convexity=modulus if modulus > 0 else None,
+        smoothness=float(eig[-1]),
     )
     f.scale = scale
     return f

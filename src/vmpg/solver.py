@@ -70,6 +70,9 @@ GAP = "gap"  # the stop test of a certified exit, beside the STOP_RULES
 # costs about 7 us against about 85 us per iteration (one BLAS thread on the
 # Xeon that BENCH_18.json records): every 8th costs about 1% of a run, while
 # every record would cost about 8% to end a run about 3.5 iterations sooner.
+# Where the l1 solve has a modulus, the check also forms the second-order
+# bound, about 11 us in all (BENCH_25.json), and pg-bb on lasso-ls ends at
+# records 80-120 in place of 136-208.
 # A strong-convexity gap over k > 1 node blocks (a Consensus solve) costs
 # about 2.5 us against about 300 us per consensus-ls round (BENCH_24.json),
 # so it is checked after every record.  Over one block (Zero, and a
@@ -456,7 +459,8 @@ def _stopped(state, prev_forward, config):
 
 
 def _l1_gap(f, g):
-    """The duality gap of a least-squares f with a Lasso or ElasticNet g.
+    """The duality gap of a least-squares f with a Lasso or ElasticNet g, and
+    where a modulus is known the second-order bound beside it.
 
     With F = h + lam1 ||x||_1 and h(x) = s ||Ax - b||^2 + rho ||x||^2 (rho
     is f's ridge plus ElasticNet's lam2 / 2), F is the lasso on the design
@@ -464,12 +468,18 @@ def _l1_gap(f, g):
     the dual-feasible theta = c 2s (b - Ax; -sqrt(rho / s) x) with
     c = min(1, lam1 / ||grad h(x)||_inf), of dual value
     D = 2cs (||b||^2 - b'Ax) - c^2 h(x) <= F*, so gap = F(x) - D bounds
-    F(x) - F* (Fercoq, Gramfort & Salmon 2015; Ndiaye et al. 2017).
+    F(x) - F* (Fercoq, Gramfort & Salmon 2015; Ndiaye et al. 2017).  That
+    gap is first order in ||x - x*||.  When h is m-strongly convex,
+    m = f.strong_convexity + lam2 > 0, so is F, and
+    F(x) - F* <= ||v||^2 / (2m) for the least-norm subgradient v of F at x
+    (Karimi, Nutini & Schmidt 2016), a second-order bound: v_j is
+    grad_j h + lam1 sign(x_j) where x_j != 0 and soft(grad_j h, lam1) where
+    x_j = 0.  The certificate is the smaller of the two.
     rounding = _GAP_ROUNDING eps (s ||b||^2 + |F(x)|) bounds the rounding
-    of the terms that form it.  (s, ||b||^2, b'Ax) come from f.dual_terms:
-    the gap costs O(n) work, and no product or call of f.value or
-    f.gradient.  None unless f has dual_terms and g is a Lasso or an
-    ElasticNet.
+    of the terms that form the dual gap.  (s, ||b||^2, b'Ax) come from
+    f.dual_terms: the certificate costs O(n) work, and no product or call
+    of f.value or f.gradient.  None unless f has dual_terms and g is a
+    Lasso or an ElasticNet.
     """
     terms = getattr(f, "dual_terms", None)
     if terms is None:
@@ -480,14 +490,23 @@ def _l1_gap(f, g):
         lam1, lam2 = g.lam1, g.lam2
     else:
         return None
+    m = (getattr(f, "strong_convexity", None) or 0.0) + lam2
 
     def gap(x, grad, f_x):
         s, b_sq, b_ax = terms(x)
         h = f_x - lam1 * float(np.abs(x).sum())
-        top = float(np.abs(grad + lam2 * x).max())  # ||grad h(x)||_inf
+        grad_h = grad + lam2 * x
+        top = float(np.abs(grad_h).max())  # ||grad h(x)||_inf
         c = 1.0 if top <= lam1 else lam1 / top
-        return (f_x - c * (2.0 * s * (b_sq - b_ax) - c * h),
-                _GAP_ROUNDING * _EPS * (s * b_sq + abs(f_x)))
+        bound = f_x - c * (2.0 * s * (b_sq - b_ax) - c * h)
+        if m > 0.0:
+            # |v|: |grad h + lam1 sign(x)| off the zeros, |grad h| - lam1
+            # clipped at 0 on them
+            v = np.abs(grad_h + lam1 * np.sign(x))
+            v -= lam1 * (x == 0.0)
+            np.maximum(v, 0.0, out=v)
+            bound = min(bound, float(v.dot(v)) / (2.0 * m))
+        return bound, _GAP_ROUNDING * _EPS * (s * b_sq + abs(f_x))
 
     gap.every = _GAP_EVERY
     return gap
@@ -527,7 +546,8 @@ def _duality_gap(f, g):
       convex in z with gradient sum_j grad f_j(z), the sum of grad's node
       blocks, so ||sum_j grad f_j||^2 / (2 sum_j m_j);
     - least-squares f (``dual_terms``) with Lasso or ElasticNet: the
-      residual-rescaling duality gap (_l1_gap).
+      residual-rescaling duality gap, or the second-order bound where a
+      modulus is known, whichever is smaller (_l1_gap).
 
     Each gap is formed from the iterate, the gradient and the objective
     that the run already holds, and rounding bounds its rounding error.

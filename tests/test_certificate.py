@@ -104,6 +104,9 @@ class TestOrthonormalDesign:
         g = REGULARIZERS[reg]
         A, b, x_star, _ = orthonormal_problem(4, ridge, g)
         forms = both_forms(A, b, ridge)
+        # the Gram form reads a larger modulus off its spectrum, which only
+        # tightens its certificate; under one modulus the two forms agree
+        forms["gram"].strong_convexity = forms["residual"].strong_convexity
         rng = np.random.default_rng(5)
         for scale in (0.0, 1e-8, 1e-4, 1.0):
             x = x_star + scale * rng.standard_normal(128)
@@ -151,10 +154,25 @@ def reference_optimum(A, b, ridge, g):
     raise AssertionError("the reference optimum did not certify")
 
 
+def dual_gap(A, b, ridge, g, x):
+    """(F(x) - D, its rounding 16 eps (s ||b||^2 + |F(x)|)) for the
+    rescaled-residual dual value D, independently of the library."""
+    lam1, lam2 = l1_parts(g)
+    s = 1.0 / A.shape[0]
+    f_x = objective(A, b, ridge, g, x)
+    grad_h = 2.0 * s * (A.T @ (A @ x - b)) + (2.0 * ridge + lam2) * x
+    c = min(1.0, lam1 / np.abs(grad_h).max())
+    h = f_x - lam1 * float(np.abs(x).sum())
+    dual = 2.0 * c * s * float(b @ b - b @ (A @ x)) - c * c * h
+    return f_x - dual, 16 * EPS * (s * float(b @ b) + abs(f_x))
+
+
 def test_certified_exits_are_optimal_to_rounding():
     """24 instances (6 designs x 2 forms x Lasso, ElasticNet) x 3 methods;
-    every solve that the gap ends is within 1e-12 max(1, |F*|) of F*."""
-    certified = 0
+    every solve that the gap ends is within 1e-12 max(1, |F*|) of F*.  Where
+    the dual gap is still above its rounding at the exit, the second-order
+    bound ended the run, and F(x) - F* must be within that rounding."""
+    certified = second_order = 0
     for seed in range(6):
         prob = generate_regression(600, 256, "ls", 60 + seed)
         ridge = 0.0 if seed % 2 else 1e-3
@@ -171,7 +189,32 @@ def test_certified_exits_are_optimal_to_rounding():
                     certified += 1
                     excess = objective(prob.A, prob.b, ridge, g, result.x) - f_star
                     assert excess <= bound, (seed, form, method, excess, f_star)
+                    gap, rounding = dual_gap(prob.A, prob.b, ridge, g, result.x)
+                    if gap > rounding:
+                        second_order += 1
+                        assert excess <= rounding, (seed, form, method, excess, rounding)
     assert certified >= 48
+    assert second_order >= 40
+
+
+def test_the_gram_modulus_certifies_where_the_dual_gap_lags():
+    """The Gram form of generate_regression(600, 256, "ls", 65) under
+    Lasso(1e-2) at eps_tol 1e-14.  With the dual gap alone vmpg-dbb ended
+    by its forward-step test at record 433 (its dual gap never within
+    rounding) and pg-bb by the gap at record 264 (one BLAS thread); the
+    modulus read off the spectrum ends both by the gap, at about records
+    192 and 152."""
+    prob = generate_regression(600, 256, "ls", 65)
+    f, g = smooth_part(prob), Lasso(1e-2)
+    assert isinstance(f, QuadraticObjective) and f.strong_convexity > 0
+    f_star = reference_optimum(prob.A, prob.b, 0.0, g)
+    for method, most in (("vmpg-dbb", 240), ("pg-bb", 200)):
+        result = solve(f, g, np.zeros(256),
+                       SolverConfig(method=method, eps_tol=1e-14, max_iter=3000))
+        assert (result.status, result.stopped_by) == (CONVERGED, "gap"), method
+        assert result.iterations <= most, (method, result.iterations)
+        _, rounding = dual_gap(prob.A, prob.b, 0.0, g, result.x)
+        assert objective(prob.A, prob.b, 0.0, g, result.x) - f_star <= rounding, method
 
 
 def test_pg_bb_ends_a_lasso_ls_shaped_solve_by_its_gap():

@@ -271,11 +271,13 @@ class TestLossConstants:
     @pytest.mark.parametrize("form", ["residual", "gram", "logistic"])
     def test_valid_constants_are_kept_as_floats(self, form):
         f = affine_loss(form, scale=0.25, ridge=0)
-        assert f.strong_convexity is None
-        if form != "gram":
-            assert (f.scale, f.ridge) == (0.25, 0.0)
-            assert type(f.scale) is float and type(f.ridge) is float
         g = affine_loss(form, ridge=0.05)
+        if form == "gram":  # its modulus is read off its spectrum (TestGramModulus)
+            assert type(f.strong_convexity) is float and g.strong_convexity > 0.1
+            return
+        assert f.strong_convexity is None
+        assert (f.scale, f.ridge) == (0.25, 0.0)
+        assert type(f.scale) is float and type(f.ridge) is float
         assert g.strong_convexity == 0.1
 
 
@@ -540,11 +542,12 @@ class ReferenceQuadratic(SmoothObjective):
 
 class ReferenceGramLeastSquares(ReferenceQuadratic):
     """Memo-free Gram form of s ||Ax - b||^2 + ridge ||x||^2, with the terms
-    of its duality gap from p = s b'b and q = -2s A'b."""
+    of its duality gap from p = s b'b and q = -2s A'b, and the modulus given."""
 
-    def __init__(self, Q, q, p, scale):
+    def __init__(self, Q, q, p, scale, strong_convexity=None):
         super().__init__(Q, q, p)
         self.scale = scale
+        self.strong_convexity = strong_convexity
 
     def dual_terms(self, x):
         s = self.scale
@@ -572,7 +575,7 @@ def quadratic_pair(kind, seed=41):
     else:
         f = smooth_part(generate_regression(n_samples=2048, dim=64, loss="ls", seed=seed))
         assert isinstance(f, QuadraticObjective)
-        return f, ReferenceGramLeastSquares(f.Q, f.q, f.p, f.scale)
+        return f, ReferenceGramLeastSquares(f.Q, f.q, f.p, f.scale, f.strong_convexity)
     reference = SymvQuadratic if kind == "qp-400" else ReferenceQuadratic
     return f, reference(f.Q, f.q, f.p)
 
@@ -612,6 +615,24 @@ class TestSharedQuadraticImage:
         f.gradient(x)
         x[...] = 0.0  # equal to -0.0 by value, not by bits
         self.check(f, ref, x, ("value", "gradient"))
+
+    def test_an_installed_image_is_served_to_its_array_alone(self, kind):
+        f, ref = quadratic_pair(kind)
+        rng = np.random.default_rng(48)
+        z = rng.standard_normal(f.dim)
+        marker = np.full(f.dim, 7.0)  # no point's image: shows where it is served
+        f._install_image(z, marker)
+        assert same_bits(f.gradient(z), marker + f.q)
+        # equal bits in another array, and a point changed in place between
+        # two reads, go by the bytes key to a fresh product
+        self.check(f, ref, z.copy(), ("value", "gradient"))
+        x = rng.standard_normal(f.dim)
+        self.check(f, ref, x, ("gradient", "value"))
+        x[5] += 1.0
+        self.check(f, ref, x, ("value", "gradient"))
+        assert same_bits(f.value(z), 0.5 * float(z @ marker) + float(f.q @ z) + f.p)
+        f._install_image(None, None)
+        self.check(f, ref, z, ("gradient", "value"))
 
     def test_views_of_a_stacked_vector(self, kind):
         f, ref = quadratic_pair(kind)
@@ -1026,6 +1047,51 @@ def rounding_bounds(A, b, x, ridge):
     return tol * value, tol * gradient
 
 
+class TestGramModulus:
+    """The Gram form's strong_convexity is its least eigenvalue rounded down by
+    eigvalsh's error bound, floored at 2 ridge, and None if not positive."""
+
+    @staticmethod
+    def svd_modulus(f, A, ridge):
+        """2 s sigma_min(A)^2 + 2 ridge, the modulus of the loss from an SVD."""
+        return 2 * f.scale * np.linalg.svd(A, compute_uv=False)[-1] ** 2 + 2 * ridge
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    @pytest.mark.parametrize("design", ["tall", "near-square", "correlated"])
+    def test_modulus_is_a_lower_bound(self, design, ridge):
+        rng = np.random.default_rng(61)
+        if design == "correlated":  # the ill-conditioned features of the generator
+            A = generate_regression(n_samples=600, dim=256, loss="ls", seed=65).A
+        else:
+            A = rng.standard_normal((2048, 64) if design == "tall" else (514, 512))
+        f = _least_squares(A, rng.standard_normal(A.shape[0]), ridge=ridge)
+        assert isinstance(f, QuadraticObjective)
+        assert 2 * ridge < f.strong_convexity <= self.svd_modulus(f, A, ridge)
+        eig = np.linalg.eigvalsh(f.Q)
+        assert f.strong_convexity == eig[0] - problems._eigvalsh_error(eig)
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    @pytest.mark.parametrize("design", ["duplicate-column", "low-rank", "nearly-duplicate"])
+    def test_no_safe_least_eigenvalue_falls_back_to_the_ridge(self, design, ridge):
+        rng = np.random.default_rng(62)
+        if design == "low-rank":
+            A = rng.standard_normal((1024, 100)) @ rng.standard_normal((100, 128))
+        else:
+            A = rng.standard_normal((1024, 128))
+            A[:, 7] = A[:, 5] + (1e-9 * rng.standard_normal(1024)
+                                 if design == "nearly-duplicate" else 0.0)
+        f = _least_squares(A, rng.standard_normal(1024), ridge=ridge)
+        assert isinstance(f, QuadraticObjective)
+        assert f.strong_convexity == (2 * ridge if ridge > 0 else None)
+        eig = np.linalg.eigvalsh(f.Q)
+        assert eig[0] - problems._eigvalsh_error(eig) <= 2 * ridge
+
+    def test_the_cli_checks_a_qp_file_by_the_same_rounding(self):
+        import vmpg.cli
+
+        assert vmpg.cli._eigvalsh_error is problems._eigvalsh_error
+
+
 class TestLeastSquaresForms:
     """Tall, large designs take the Gram form; the two forms agree to rounding."""
 
@@ -1071,9 +1137,10 @@ class TestLeastSquaresForms:
     def test_curvature_constants(self, ridge):
         prob = generate_regression(n_samples=2048, dim=64, loss="ls", seed=54)
         gram, residual = form_pair(prob.A, prob.b, ridge)
-        assert gram.strong_convexity == residual.strong_convexity
-        assert gram.strong_convexity == (2 * ridge if ridge > 0 else None)
-        top = np.linalg.eigvalsh(gram.Q)[-1]
+        assert residual.strong_convexity == (2 * ridge if ridge > 0 else None)
+        eig = np.linalg.eigvalsh(gram.Q)
+        assert gram.strong_convexity == eig[0] - problems._eigvalsh_error(eig) > 2 * ridge
+        top = eig[-1]
         np.testing.assert_allclose(gram.smoothness, top, rtol=1e-7)
         np.testing.assert_allclose(gram.smoothness, residual.smoothness, rtol=1e-7)
 
