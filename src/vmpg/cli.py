@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import statistics
 import sys
@@ -578,8 +579,8 @@ def _assemble_spec(args):
     spec.setdefault("n", 200)
     if spec["kind"] == "qp":
         spec.setdefault("kappa", 1e4)
-        if spec["kappa"] < 1:
-            raise UsageError("--kappa must be >= 1")
+        if not 1 <= spec["kappa"] < math.inf:  # also rejects --kappa nan
+            raise UsageError("--kappa must be finite and >= 1")
     spec.setdefault("nodes", 10)
     if spec["nodes"] < 1:
         raise UsageError("--nodes must be >= 1")

@@ -21,21 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiagonalMetric, SmoothObjective, as_vector
+from .core import SmoothObjective, as_vector
 from .prox import Consensus
 from .solver import (
     SolverConfig,
     TraceRecord,
-    _advance,
+    _bb_step,
     _duality_gap,
     _iterate,
-    _reference_value,
     _warmup,
-    # not called here: kept so that code patching vmpg.consensus.line_search
-    # (as the benchmark's tracer does) still finds the attribute
+    # not called here: kept so that code patching vmpg.consensus.line_search,
+    # diagonal_bb or hybrid_bb (as the benchmark's tracer does) still finds
+    # the attribute
+    diagonal_bb,
+    hybrid_bb,
     line_search,
 )
-from .stepsize import StepPair, _guard_pair, diagonal_bb, hybrid_bb
+from .stepsize import _row_dot
 from .problems import (
     LeastSquaresObjective,
     LogisticObjective,
@@ -44,7 +46,11 @@ from .problems import (
     _PointMemo,
 )
 
-MODES = ("local-bb", "local-dbb", "global-bb", "global-dbb")
+# each mode's (diagonal, per node): diagonal_bb or hybrid_bb, fitted to every
+# node's block of the stacked step pair or to the whole pair
+_MODE_RULES = {"local-bb": (False, True), "local-dbb": (True, True),
+               "global-bb": (False, False), "global-dbb": (True, False)}
+MODES = tuple(_MODE_RULES)
 
 
 @dataclass
@@ -277,84 +283,6 @@ def split_regression(problem, n_nodes, ridge):
     return ConsensusProblem(objectives=objectives, dim=problem.A.shape[1])
 
 
-def _row_dot(a, b):
-    """Inner products of matching rows; bitwise equal to np.dot row by row.
-
-    A (1, n) @ (n, 1) matmul reduces each row as np.dot does; einsum and
-    (a * b).sum(1) sum in other orders and differ in the last bits.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _node_bb(S, Y):
-    """Per-row (alpha_bb1, alpha_bb2, degenerate) as bb1/bb2 give them.
-
-    A row is degenerate where bb1 or bb2 returns None; its two values are
-    then meaningless and must not be used.  Raises NumericalError when S or
-    Y has a NaN or Inf entry, checked as the scalar rules check a pair.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ss = _row_dot(S, S)
-        sy = _row_dot(S, Y)
-        yy = _row_dot(Y, Y)
-        _guard_pair(ss.sum() + sy.sum() + yy.sum(), S, Y)
-        return ss / sy, sy / yy, (sy <= 0.0) | (yy == 0.0)
-
-
-def node_hybrid_bb(S, Y, config, prev_alpha):
-    """hybrid_bb applied to each row pair (S[j], Y[j]); returns an (m,) array.
-
-    prev_alpha is the fallback per row, a scalar or an (m,) array.
-    """
-    a1, a2, degenerate = _node_bb(S, Y)
-    # a degenerate row's a1 and a2 may be inf or NaN; its alpha is discarded
-    with np.errstate(invalid="ignore", over="ignore"):
-        alpha = np.where(a1 < config.delta * a2, a2, a1 - a2 / config.delta)
-    alpha = np.where(degenerate | (alpha <= 0.0), prev_alpha, alpha)
-    return np.minimum(np.maximum(alpha, config.alpha_min), config.alpha_max)
-
-
-def node_diagonal_bb(S, Y, config, u_prev):
-    """diagonal_bb applied to each row pair; returns the (m, n) metric diagonal.
-
-    u_prev is the previous metric diagonal in the same (m, n) layout.
-    """
-    a1, a2, degenerate = _node_bb(S, Y)
-    a1 = np.minimum(np.maximum(a1, config.alpha_min), config.alpha_max)
-    a2 = np.minimum(np.maximum(a2, config.alpha_min), config.alpha_max)
-    lo = np.where(degenerate, 1.0 / config.alpha_max, 1.0 / a1)
-    hi = np.where(degenerate, 1.0 / config.alpha_min, 1.0 / a2)
-    swap = lo > hi  # float noise can invert the ordering of eq-close values
-    lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
-    candidates = (S * Y + config.mu * u_prev) / (S**2 + config.mu)
-    return np.minimum(np.maximum(candidates, lo[:, None]), hi[:, None])  # np.clip
-
-
-def consensus_metric(pair, mode, config, state, n_nodes):
-    """Metric of one round over the stacked vector; returns (metric, prev_alpha).
-
-    Local modes apply the BB rules to each node's block of the stacked step
-    pair, all nodes at once; global modes apply them to the whole pair.
-    state carries the stacked metric accepted last round and the last
-    scalar stepsize, or one per node in local-bb.
-    """
-    if mode in ("local-bb", "local-dbb"):
-        S = pair.s.reshape(n_nodes, -1)
-        Y = pair.y.reshape(n_nodes, -1)
-        if mode == "local-bb":
-            alpha = node_hybrid_bb(S, Y, config, state.prev_alpha)
-            return DiagonalMetric._trusted(np.repeat(1.0 / alpha, S.shape[1])), alpha
-        u_prev = state.prev_metric.diag.reshape(S.shape)
-        diag = node_diagonal_bb(S, Y, config, u_prev)
-        return DiagonalMetric._trusted(diag.reshape(-1)), state.prev_alpha
-    if mode == "global-bb":
-        alpha = hybrid_bb(pair, config, state)
-        return DiagonalMetric._trusted_uniform(pair.s.shape[0], 1.0 / alpha), alpha
-    if mode == "global-dbb":
-        return diagonal_bb(pair, config, state), state.prev_alpha
-    raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
-
-
 class _SolveParts:
     """What every round of one solve shares, built once per solve: the
     stacked objective, the Consensus prox and the bytes a round exchanges."""
@@ -377,8 +305,8 @@ def consensus_round(problem, state, mode="local-dbb", config=None):
     Each node takes a forward step under its metric, the scaled consensus
     prox aggregates the metric-weighted average z, and z is broadcast back,
     so after the round every node copy in state.x equals z.  The round is
-    solve's iteration kernel on the stacked objective with the Consensus
-    prox and the metric from consensus_metric: the nonmonotone acceptance
+    solve's BB step on the stacked objective with the Consensus prox, under
+    the rule and partition the mode names: the nonmonotone acceptance
     test runs on the summed objective and rescales all blocks on rejection.
     Node memory lives in state.stepsize_state: prev_metric is the stacked
     metric accepted last round and prev_alpha the last scalar stepsize (one
@@ -392,12 +320,9 @@ def consensus_round(problem, state, mode="local-dbb", config=None):
         raise ValueError(f"unknown consensus mode {mode!r}; choose from {MODES}")
     config = config or SolverConfig()
     parts = problem if type(problem) is _SolveParts else _SolveParts(problem)
-    pair = StepPair._trusted(state.x - state.x_prev, state.grad - state.grad_prev)
-    metric, alpha = consensus_metric(
-        pair, mode, config, state.stepsize_state, parts.n_nodes
-    )
-    return parts.record(_advance(
-        parts.f, parts.g, state, metric, alpha, _reference_value(state, config), config
+    diagonal, per_node = _MODE_RULES[mode]
+    return parts.record(_bb_step(
+        parts.f, parts.g, state, config, diagonal, parts.n_nodes if per_node else 1
     ))
 
 

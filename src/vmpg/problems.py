@@ -10,6 +10,7 @@ column-normalization pipeline.
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -381,10 +382,10 @@ def generate_qp(n, kappa, seed):
     Q = H D H' where H orthogonalizes a seeded Gaussian matrix and D is
     log-uniformly spaced on [1, kappa], so m = 1 and L = kappa.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    if n < 2 and kappa != 1:
-        raise ValueError("n must be >= 2 for kappa > 1")
+    if not 1 <= kappa < math.inf:  # also rejects a NaN kappa
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
+    if n < (1 if kappa == 1 else 2):
+        raise ValueError("n must be >= 1, and >= 2 for kappa > 1")
     rng = np.random.default_rng(seed)
     H, _ = np.linalg.qr(rng.standard_normal((n, n)))
     d = np.logspace(0.0, np.log10(kappa), n) if kappa > 1 else np.ones(n)
@@ -442,6 +443,10 @@ def generate_regression(n_samples, dim, loss, seed, noise=0.2, lam=None,
     """
     if loss not in ("ls", "logistic"):
         raise ValueError(f"unknown loss {loss!r}")
+    if dim < 1 or n_samples < 1:
+        raise ValueError(f"need dim >= 1 and n_samples >= 1, got {dim} and {n_samples}")
+    if not math.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
     rng = np.random.default_rng(seed)
     # each n x n factor is dropped once read and A is preconditioned in
     # place, so the peak is the one product below, which holds its N x n

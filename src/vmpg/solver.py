@@ -6,7 +6,8 @@ The driver iterates
     x^{k+1} = prox_{g, U^k}(y^{k+1})
 
 where the metric U^k comes from a scalar hybrid BB rule (``pg-bb``), the
-diagonal BB subproblem (``vmpg-dbb``), or is held fixed (``pg-fixed``).
+diagonal BB subproblem (``vmpg-dbb``), or is held fixed (``pg-fixed``); one
+BB step serves the first two and every consensus mode.
 Steps are accepted under a nonmonotone sufficient-decrease test and the
 metric is rescaled by beta until acceptance.  Method ``fista`` is the usual
 accelerated baseline: x^{k+1} = prox_{g, I/alpha}(z^k - alpha grad f(z^k))
@@ -318,6 +319,28 @@ def _advance(f, g, state, metric, alpha, f_ref, config):
     return new_state, record
 
 
+def _bb_step(f, g, state, config, diagonal, blocks):
+    """One BB iteration from x^k: diagonal_bb, or hybrid_bb's 1/alpha per
+    block, fitted to the step pair split into blocks rows, then _advance.
+
+    vmpg-dbb and pg-bb fit one block, each consensus mode its own choice;
+    every caller's rules are looked up here, in vmpg.solver.
+    """
+    s = state.x - state.x_prev
+    y = state.grad - state.grad_prev
+    if blocks > 1:
+        s, y = s.reshape(blocks, -1), y.reshape(blocks, -1)
+    pair = StepPair._trusted(s, y)
+    ss = state.stepsize_state
+    if diagonal:
+        metric, alpha = diagonal_bb(pair, config, ss), ss.prev_alpha
+    else:
+        alpha = hybrid_bb(pair, config, ss)
+        metric = (DiagonalMetric._trusted(np.repeat(1.0 / alpha, s.shape[1])) if blocks > 1
+                  else DiagonalMetric._trusted_uniform(s.shape[0], 1.0 / alpha))
+    return _advance(f, g, state, metric, alpha, _reference_value(state, config), config)
+
+
 def vmpg_step(f, g, state, config):
     """Advance one iteration from x^k; returns (new_state, TraceRecord).
 
@@ -328,20 +351,13 @@ def vmpg_step(f, g, state, config):
     pg-fixed's metric is built and validated on each call; ``solve`` builds
     it once per run.
     """
-    ss = state.stepsize_state
-    alpha = ss.prev_alpha
-    if config.method == "pg-fixed":
-        metric = _fixed_metric(f, config, state.x.shape[0])
-    elif config.method in ("vmpg-dbb", "pg-bb"):
-        pair = StepPair._trusted(state.x - state.x_prev, state.grad - state.grad_prev)
-        if config.method == "vmpg-dbb":
-            metric = diagonal_bb(pair, config, ss)
-        else:
-            alpha = hybrid_bb(pair, config, ss)
-            metric = DiagonalMetric._trusted_uniform(state.x.shape[0], 1.0 / alpha)
-    else:
+    if config.method in ("vmpg-dbb", "pg-bb"):
+        return _bb_step(f, g, state, config, config.method == "vmpg-dbb", 1)
+    if config.method != "pg-fixed":
         raise ValueError(f"vmpg_step does not drive method {config.method!r}")
-    return _advance(f, g, state, metric, alpha, _reference_value(state, config), config)
+    metric = _fixed_metric(f, config, state.x.shape[0])
+    return _advance(f, g, state, metric, state.stepsize_state.prev_alpha,
+                    _reference_value(state, config), config)
 
 
 def warmup_step(f, g, x0, config):

@@ -9,6 +9,8 @@ For L-smooth, m-strongly convex f both lie in [1/L, 1/m] with
 alpha_bb2 <= alpha_bb1.  ``hybrid_bb`` blends them into a single scalar;
 ``diagonal_bb`` builds a full diagonal metric by matching the secant
 equation coordinate-wise inside the interval the scalar rules span.
+Both read the partition from the pair's shape: 1-D arrays are one block,
+(m, n) arrays m node blocks fitted at once (the local consensus modes).
 """
 
 import math
@@ -32,7 +34,7 @@ class StepPair:
 
     @classmethod
     def _trusted(cls, s, y):
-        """A pair of equal-length 1-D float arrays the solver loop built.
+        """A pair of equal-shape float arrays, 1-D or (m, n), the solver loop built.
 
         Skips the O(n) validation; the BB rules check the pair's inner
         products instead and raise NumericalError on a NaN or Inf entry.
@@ -74,7 +76,8 @@ def _default_metric():
 class StepsizeState:
     """Memory carried between iterations by the stepsize rules.
 
-    prev_alpha is the last scalar hybrid output (clamped); prev_metric is the
+    prev_alpha is the last hybrid output (clamped): one float, or one per
+    node block after a hybrid fit over (m, n) blocks; prev_metric is the
     metric accepted at the previous iteration (identity before the first).
     """
 
@@ -134,6 +137,29 @@ def _bb_values(pair):
     return ss / sy, sy / yy
 
 
+def _row_dot(a, b):
+    """Inner products of matching rows; bitwise equal to np.dot row by row.
+
+    A (1, n) @ (n, 1) matmul reduces each row as np.dot does; einsum and
+    (a * b).sum(1) sum in other orders and differ in the last bits.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_bb_values(S, Y):
+    """Per-row (alpha_bb1, alpha_bb2, degenerate) of an (m, n) pair as bb1/bb2
+    give them.  A row is degenerate where bb1 or bb2 returns None; its two
+    values are then meaningless and must not be used.  Raises NumericalError
+    when S or Y has a NaN or Inf entry, checked as _bb_values checks a pair.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ss = _row_dot(S, S)
+        sy = _row_dot(S, Y)
+        yy = _row_dot(Y, Y)
+        _guard_pair(ss.sum() + sy.sum() + yy.sum(), S, Y)
+        return ss / sy, sy / yy, (sy <= 0.0) | (yy == 0.0)
+
+
 def hybrid_bb(pair, config, state):
     """Hybrid scalar BB stepsize.
 
@@ -141,7 +167,17 @@ def hybrid_bb(pair, config, state):
     alpha_bb2), otherwise the gap-corrected alpha_bb1 - alpha_bb2 / delta.
     Degenerate curvature or a nonpositive result falls back to the previous
     stepsize.  The result is clamped to [alpha_min, alpha_max].
+
+    An (m, n) pair is m node blocks: the result is an (m,) array, and
+    state.prev_alpha (one float or one per block) the fallback of each row.
     """
+    if pair.s.ndim == 2:
+        a1, a2, degenerate = _row_bb_values(pair.s, pair.y)
+        # a degenerate row's a1 and a2 may be inf or NaN; its alpha is discarded
+        with np.errstate(invalid="ignore", over="ignore"):
+            alpha = np.where(a1 < config.delta * a2, a2, a1 - a2 / config.delta)
+        alpha = np.where(degenerate | (alpha <= 0.0), state.prev_alpha, alpha)
+        return np.minimum(np.maximum(alpha, config.alpha_min), config.alpha_max)
     values = _bb_values(pair)
     if values is None:
         alpha = state.prev_alpha
@@ -167,24 +203,39 @@ def diagonal_bb(pair, config, state):
     safeguard interval.  The clip keeps every entry inside the bounds that
     BBConfig validated, so the metric is built without a further O(n) check;
     a NaN (from overflow in s_i y_i or s_i^2) raises NumericalError.
+
+    An (m, n) pair is m node blocks, each bounded by its own BB values; the
+    metric, like state.prev_metric, runs over the m n coordinates row by row.
     """
-    values = _bb_values(pair)
-    if values is None:
-        lo = 1.0 / config.alpha_max
-        hi = 1.0 / config.alpha_min
-    else:
-        a1 = min(max(values[0], config.alpha_min), config.alpha_max)
-        a2 = min(max(values[1], config.alpha_min), config.alpha_max)
-        lo = 1.0 / a1
-        hi = 1.0 / a2
-        if lo > hi:  # float noise can invert the ordering of eq-close values
-            lo, hi = hi, lo
+    s, y = pair.s, pair.y
     u_prev = state.prev_metric.diag
-    if u_prev.shape[0] != pair.s.shape[0]:
-        raise ValueError(
-            f"previous metric has dimension {u_prev.shape[0]}, "
-            f"step pair has {pair.s.shape[0]}"
-        )
-    candidates = (pair.s * pair.y + config.mu * u_prev) / (pair.s**2 + config.mu)
+    if s.ndim == 2:
+        a1, a2, degenerate = _row_bb_values(s, y)
+        a1 = np.minimum(np.maximum(a1, config.alpha_min), config.alpha_max)
+        a2 = np.minimum(np.maximum(a2, config.alpha_min), config.alpha_max)
+        lo = np.where(degenerate, 1.0 / config.alpha_max, 1.0 / a1)
+        hi = np.where(degenerate, 1.0 / config.alpha_min, 1.0 / a2)
+        swap = lo > hi  # float noise can invert the ordering of eq-close values
+        lo, hi = np.where(swap, hi, lo)[:, None], np.where(swap, lo, hi)[:, None]
+        u_prev = u_prev.reshape(s.shape)
+    else:
+        values = _bb_values(pair)
+        if values is None:
+            lo = 1.0 / config.alpha_max
+            hi = 1.0 / config.alpha_min
+        else:
+            a1 = min(max(values[0], config.alpha_min), config.alpha_max)
+            a2 = min(max(values[1], config.alpha_min), config.alpha_max)
+            lo = 1.0 / a1
+            hi = 1.0 / a2
+            if lo > hi:  # float noise can invert the ordering of eq-close values
+                lo, hi = hi, lo
+        if u_prev.shape[0] != s.shape[0]:
+            raise ValueError(
+                f"previous metric has dimension {u_prev.shape[0]}, "
+                f"step pair has {s.shape[0]}"
+            )
+    candidates = (s * y + config.mu * u_prev) / (s**2 + config.mu)
     # np.clip(candidates, lo, hi) bit for bit, through two cheaper ufunc calls
-    return DiagonalMetric._trusted(np.minimum(np.maximum(candidates, lo), hi))
+    diag = np.minimum(np.maximum(candidates, lo), hi)
+    return DiagonalMetric._trusted(diag if diag.ndim == 1 else diag.reshape(-1))

@@ -519,6 +519,32 @@ class TestConfigAndEnvironment:
         assert "must be positive and finite" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("command, args, message", [
+        ("bench", ["--kappa", "nan"], "--kappa must be finite and >= 1"),
+        ("bench", ["--kappa", "inf"], "--kappa must be finite and >= 1"),
+        ("solve", ["--kappa", "1e400"], "--kappa must be finite and >= 1"),
+        ("gen", ["--n", "0", "--kappa", "1"], "n must be >= 1"),
+        ("bench", ["--kind", "ls", "--n", "0"], "need dim >= 1 and n_samples >= 1"),
+        ("solve", ["--kind", "logistic", "--n", "0"], "need dim >= 1 and n_samples >= 1"),
+        ("gen", ["--kind", "ls", "--n", "0"], "need dim >= 1 and n_samples >= 1"),
+        ("bench", ["--kind", "logistic", "--n", "8", "--n-samples", "40", "--noise", "nan"],
+         "noise must be finite"),
+        ("solve", ["--kind", "ls", "--n", "8", "--n-samples", "40", "--noise", "inf"],
+         "noise must be finite"),
+    ])
+    def test_bad_instance_parameter_is_an_error(self, tmp_path, capsys, command, args,
+                                                message):
+        """Each of these once ran (a NaN kappa built Q = I and exited 0, gen
+        wrote an empty QP, a NaN noise labelled every row -1) or died with a
+        traceback."""
+        argv = [command, "--n", "10", *args, "--out", str(tmp_path / "o")]
+        if command != "gen":
+            argv += ["--max-iter", "20"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"vmpg: error: {message}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag, value", [
         ("--eps-tol", "nan"), ("--eps-tol", "inf"), ("--beta", "nan"), ("--beta", "inf"),
     ])

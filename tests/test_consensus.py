@@ -12,10 +12,7 @@ from vmpg.consensus import (
     MODES,
     ConsensusProblem,
     ConsensusTraceRecord,
-    consensus_metric,
     consensus_round,
-    node_diagonal_bb,
-    node_hybrid_bb,
     solve_consensus,
     split_regression,
 )
@@ -339,14 +336,9 @@ class TestRoundMechanics:
         problem = scalar_curvature_problem([1.0, 2.0])
         with pytest.raises(ValueError):
             solve_consensus(problem, np.zeros(3), "median-bb")
+        state = start_round_state(problem, SolverConfig())
         with pytest.raises(ValueError):
-            consensus_metric(
-                StepPair(np.ones(2), np.ones(2)),
-                "median-bb",
-                SolverConfig(),
-                StepsizeState.initial(2),
-                1,
-            )
+            consensus_round(problem, state, "median-bb")
 
 
 class TestSolveConsensus:
@@ -472,8 +464,10 @@ class TestBatchedRound:
         # warns in both rules alike, so overflow is silenced
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error")
-            alphas = node_hybrid_bb(S, Y, config, prev_alpha)
-            diags = node_diagonal_bb(S, Y, config, u_prev)
+            pair = StepPair._trusted(S, Y)  # m node blocks, one per row
+            alphas = hybrid_bb(pair, config, StepsizeState(prev_alpha=prev_alpha))
+            state = StepsizeState(prev_metric=DiagonalMetric(u_prev.reshape(-1)))
+            diags = diagonal_bb(pair, config, state).diag.reshape(S.shape)
         branches = set()
         for j in range(m):
             pair = StepPair(S[j], Y[j])
@@ -498,7 +492,8 @@ class TestBatchedRound:
         S = np.zeros((2, 3))
         Y = np.ones((2, 3))
         config = SolverConfig()
-        np.testing.assert_array_equal(node_hybrid_bb(S, Y, config, 0.5), [0.5, 0.5])
+        alphas = hybrid_bb(StepPair._trusted(S, Y), config, StepsizeState(prev_alpha=0.5))
+        np.testing.assert_array_equal(alphas, [0.5, 0.5])
 
     def test_hybrid_rule_is_quiet_on_a_degenerate_row_with_infinite_ratios(self):
         # row 0's yy underflows to 0, so its ratios are inf and its gap
@@ -508,7 +503,8 @@ class TestBatchedRound:
         config = SolverConfig()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            alphas = node_hybrid_bb(S, Y, config, 0.5)
+            alphas = hybrid_bb(StepPair._trusted(S, Y), config,
+                               StepsizeState(prev_alpha=0.5))
         want = hybrid_bb(StepPair(S[1], Y[1]), config, StepsizeState(prev_alpha=0.5))
         assert alphas[0] == 0.5
         assert np.float64(alphas[1]).tobytes() == np.float64(want).tobytes()
@@ -629,8 +625,32 @@ class TestSharedDriver:
 
 class TestLayerBoundaries:
     """A tracer measures the consensus layers from outside, by replacing the
-    module attributes vmpg.consensus.consensus_round, vmpg.consensus.Consensus
-    and vmpg.solver.line_search; a solve must still reach each through them."""
+    module attributes vmpg.consensus.consensus_round, vmpg.consensus.Consensus,
+    vmpg.solver.line_search and the BB rules vmpg.solver.diagonal_bb and
+    vmpg.solver.hybrid_bb; a solve must still reach each through them."""
+
+    def test_every_round_of_every_mode_looks_its_rule_up_in_the_solver(self, monkeypatch):
+        calls = {"diagonal_bb": 0, "hybrid_bb": 0}
+
+        def counting(name):
+            rule = getattr(vmpg.solver, name)
+
+            def call(*args):
+                calls[name] += 1
+                return rule(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(vmpg.solver, name, counting(name))
+        problem = split_regression(generate_regression(90, 6, "ls", 4), 5, 1e-2)
+        config = SolverConfig(eps_tol=1e-12, max_iter=30)
+        for mode in MODES:
+            calls.update(diagonal_bb=0, hybrid_bb=0)
+            res = solve_consensus(problem, np.zeros(6), mode, config)
+            rule = "diagonal_bb" if mode.endswith("dbb") else "hybrid_bb"
+            assert res.iterations > 2
+            assert calls == {**{name: 0 for name in calls},
+                             rule: res.iterations - 1}  # the warm-up is no round
 
     def test_rounds_prox_and_line_search_go_through_the_module(self, monkeypatch):
         rounds, built, prox_owners, searches = [], [], [], []

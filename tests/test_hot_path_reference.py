@@ -31,8 +31,6 @@ from vmpg.consensus import (
     ConsensusTraceRecord,
     _Stacked,
     _StackedLeastSquares,
-    _node_bb,
-    consensus_metric,
     solve_consensus,
     split_regression,
 )
@@ -202,6 +200,10 @@ def reference_bb_values(pair):
 
 
 def reference_diagonal_bb(pair, config, state):
+    if pair.s.ndim == 2:
+        u_prev = state.prev_metric.diag.reshape(pair.s.shape)
+        diag = reference_node_diagonal_bb(pair.s, pair.y, config, u_prev)
+        return DiagonalMetric._trusted(diag.reshape(-1))
     values = vmpg.stepsize._bb_values(pair)
     if values is None:
         lo = 1.0 / config.alpha_max
@@ -220,8 +222,43 @@ def reference_diagonal_bb(pair, config, state):
     return DiagonalMetric._trusted(np.clip(candidates, lo, hi))
 
 
+def reference_hybrid_bb(pair, config, state):
+    if pair.s.ndim == 2:
+        return reference_node_hybrid_bb(pair.s, pair.y, config, state.prev_alpha)
+    values = vmpg.stepsize._bb_values(pair)
+    if values is None:
+        alpha = state.prev_alpha
+    else:
+        a1, a2 = values
+        alpha = a2 if a1 < config.delta * a2 else a1 - a2 / config.delta
+    if alpha <= 0.0:
+        alpha = state.prev_alpha
+    return float(min(max(alpha, config.alpha_min), config.alpha_max))
+
+
+def reference_node_bb(S, Y):
+    """Per-row (alpha_bb1, alpha_bb2, degenerate) of an (m, n) pair."""
+    def row_dot(a, b):
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ss = row_dot(S, S)
+        sy = row_dot(S, Y)
+        yy = row_dot(Y, Y)
+        _guard_pair(ss.sum() + sy.sum() + yy.sum(), S, Y)
+        return ss / sy, sy / yy, (sy <= 0.0) | (yy == 0.0)
+
+
+def reference_node_hybrid_bb(S, Y, config, prev_alpha):
+    a1, a2, degenerate = reference_node_bb(S, Y)
+    with np.errstate(invalid="ignore", over="ignore"):
+        alpha = np.where(a1 < config.delta * a2, a2, a1 - a2 / config.delta)
+    alpha = np.where(degenerate | (alpha <= 0.0), prev_alpha, alpha)
+    return np.clip(alpha, config.alpha_min, config.alpha_max)
+
+
 def reference_node_diagonal_bb(S, Y, config, u_prev):
-    a1, a2, degenerate = _node_bb(S, Y)
+    a1, a2, degenerate = reference_node_bb(S, Y)
     a1 = np.minimum(np.maximum(a1, config.alpha_min), config.alpha_max)
     a2 = np.minimum(np.maximum(a2, config.alpha_min), config.alpha_max)
     lo = np.where(degenerate, 1.0 / config.alpha_max, 1.0 / a1)
@@ -230,6 +267,26 @@ def reference_node_diagonal_bb(S, Y, config, u_prev):
     lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
     candidates = (S * Y + config.mu * u_prev) / (S**2 + config.mu)
     return np.clip(candidates, lo[:, None], hi[:, None])
+
+
+def reference_consensus_metric(pair, mode, config, state, n_nodes):
+    """The round's metric over the stacked vector as a mode switch, with
+    the node rules over (n_nodes, n) blocks; returns (metric, prev_alpha)."""
+    if mode in ("local-bb", "local-dbb"):
+        S = pair.s.reshape(n_nodes, -1)
+        Y = pair.y.reshape(n_nodes, -1)
+        if mode == "local-bb":
+            alpha = reference_node_hybrid_bb(S, Y, config, state.prev_alpha)
+            return DiagonalMetric._trusted(np.repeat(1.0 / alpha, S.shape[1])), alpha
+        u_prev = state.prev_metric.diag.reshape(S.shape)
+        diag = reference_node_diagonal_bb(S, Y, config, u_prev)
+        return DiagonalMetric._trusted(diag.reshape(-1)), state.prev_alpha
+    if mode == "global-bb":
+        alpha = reference_hybrid_bb(pair, config, state)
+        return DiagonalMetric._trusted_uniform(pair.s.shape[0], 1.0 / alpha), alpha
+    if mode == "global-dbb":
+        return reference_diagonal_bb(pair, config, state), state.prev_alpha
+    raise ValueError(f"unknown consensus mode {mode!r}")
 
 
 def reference_trusted(cls, diag, u_min=None, u_max=None):
@@ -280,16 +337,17 @@ def reference_image_of(self, x):
 @pytest.fixture
 def reference_path(monkeypatch):
     """Install every reference function where the current code looks it up."""
-    for module in (vmpg.solver, vmpg.consensus):
-        monkeypatch.setattr(module, "line_search", reference_line_search)
-        monkeypatch.setattr(module, "_advance", reference_advance)
+    monkeypatch.setattr(vmpg.solver, "line_search", reference_line_search)
+    monkeypatch.setattr(vmpg.solver, "_advance", reference_advance)
+    # every BB iteration, of solve and of each consensus mode, looks its
+    # rule up in vmpg.solver
+    for module in (vmpg.solver, vmpg.stepsize):
         monkeypatch.setattr(module, "diagonal_bb", reference_diagonal_bb)
-    monkeypatch.setattr(vmpg.stepsize, "diagonal_bb", reference_diagonal_bb)
+        monkeypatch.setattr(module, "hybrid_bb", reference_hybrid_bb)
     monkeypatch.setattr(vmpg.stepsize, "_bb_values", reference_bb_values)
     monkeypatch.setattr(vmpg.solver, "vmpg_step", reference_vmpg_step)
     monkeypatch.setattr(vmpg.solver, "_fista_step", reference_fista_step)
     monkeypatch.setattr(vmpg.solver, "_norm", reference_norm)
-    monkeypatch.setattr(vmpg.consensus, "node_diagonal_bb", reference_node_diagonal_bb)
     monkeypatch.setattr(DiagonalMetric, "_trusted", classmethod(reference_trusted))
     monkeypatch.setattr(DiagonalMetric, "_trusted_uniform",
                         classmethod(reference_trusted_uniform))
@@ -399,7 +457,7 @@ def rebuilding_round(problem, state, mode="local-dbb", config=None):
     f = problem.stacked()
     g = Consensus(problem.n_nodes)
     pair = StepPair._trusted(state.x - state.x_prev, state.grad - state.grad_prev)
-    metric, alpha = consensus_metric(
+    metric, alpha = reference_consensus_metric(
         pair, mode, config, state.stepsize_state, problem.n_nodes
     )
     return rebuilding_with_bytes(

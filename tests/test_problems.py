@@ -88,6 +88,18 @@ class TestGenerateQP:
         with pytest.raises(ValueError):
             generate_qp(n=10, kappa=0.5, seed=0)
 
+    @pytest.mark.parametrize("n, kappa", [(0, 1.0), (-1, 1.0), (1, 10.0)])
+    def test_rejects_too_small_a_dimension(self, n, kappa):
+        # n = 0 with kappa = 1 once built an empty instance that gen wrote
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            generate_qp(n=n, kappa=kappa, seed=0)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
+    def test_rejects_a_non_finite_kappa(self, kappa):
+        # a NaN kappa fails both kappa < 1 and kappa > 1, which built Q = I
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            generate_qp(n=10, kappa=kappa, seed=0)
+
 
 class TestGenerateRegression:
     def test_same_seed_is_bitwise_identical(self):
@@ -109,6 +121,19 @@ class TestGenerateRegression:
     def test_rejects_unknown_loss(self):
         with pytest.raises(ValueError):
             generate_regression(n_samples=10, dim=3, loss="huber", seed=0)
+
+    @pytest.mark.parametrize("loss", ["ls", "logistic"])
+    @pytest.mark.parametrize("n_samples, dim", [(10, 0), (0, 3), (10, -1)])
+    def test_rejects_an_empty_shape(self, loss, n_samples, dim):
+        with pytest.raises(ValueError, match="need dim >= 1 and n_samples >= 1"):
+            generate_regression(n_samples=n_samples, dim=dim, loss=loss, seed=0)
+
+    @pytest.mark.parametrize("loss", ["ls", "logistic"])
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_noise(self, loss, noise):
+        # a NaN noise made every logistic label -1
+        with pytest.raises(ValueError, match="noise must be finite"):
+            generate_regression(n_samples=10, dim=3, loss=loss, seed=0, noise=noise)
 
     def test_preconditioned_columns_are_centered_unit(self):
         prob = generate_regression(n_samples=60, dim=9, loss="ls", seed=8)

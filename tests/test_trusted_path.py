@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import vmpg.consensus
-from vmpg.consensus import MODES, consensus_metric, solve_consensus, split_regression
+from vmpg.consensus import MODES, solve_consensus, split_regression
 from vmpg.core import METRIC_FLOOR, DiagonalMetric, NumericalError, SmoothObjective
 from vmpg.problems import generate_qp, generate_regression, smooth_part
 from vmpg.prox import Consensus, Lasso, Nonnegative, Zero
@@ -152,26 +152,32 @@ class TestTrustedRules:
 
     @PROPERTY
     @given(data=st.data(), config=bb_configs(), m=st.integers(1, 4),
-           mode=st.sampled_from(["local-bb", "local-dbb"]))
+           diagonal=st.booleans())
     def test_node_rules_equal_the_validated_reference_row_by_row(
-        self, data, config, m, mode
+        self, data, config, m, diagonal
     ):
         n = data.draw(st.integers(1, 5))
         rows = [data.draw(step_pairs(n)) for _ in range(m)]
         u_prev = data.draw(valid_diagonals(m * n))
         state = StepsizeState(prev_alpha=0.5, prev_metric=DiagonalMetric(u_prev))
-        pair = StepPair._trusted(np.concatenate([s for s, _ in rows]),
-                                 np.concatenate([y for _, y in rows]))
-        metric, _ = consensus_metric(pair, mode, config, state, m)
+        # an (m, n) pair is m node blocks, fitted row by row
+        pair = StepPair._trusted(np.array([s for s, _ in rows]),
+                                 np.array([y for _, y in rows]))
+        if diagonal:
+            metric = diagonal_bb(pair, config, state)
+            assert metric.u_min == metric.diag.min()
+            assert metric.u_max == metric.diag.max()
+        else:
+            alphas = hybrid_bb(pair, config, state)
+            assert alphas.shape == (m,)
         for j, (s, y) in enumerate(rows):
             block = slice(j * n, (j + 1) * n)
-            if mode == "local-bb":
-                alpha = reference_hybrid_bb(StepPair(s, y), config, 0.5)
-                ref = DiagonalMetric.uniform(n, 1.0 / alpha)
-            else:
+            if diagonal:
                 ref = reference_diagonal_bb(StepPair(s, y), config, u_prev[block])
-            assert bits(metric.diag[block]) == bits(ref.diag)
-        assert metric.u_min == metric.diag.min() and metric.u_max == metric.diag.max()
+                assert bits(metric.diag[block]) == bits(ref.diag)
+            else:
+                ref = reference_hybrid_bb(StepPair(s, y), config, 0.5)
+                assert bits(alphas[j]) == bits(ref)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["s", "y"])
